@@ -109,8 +109,8 @@ class RunSpec:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        # the default (neon, 128) is omitted so pre-backend spec records,
-        # journals and cache payloads stay byte-identical
+        # the default (neon, 128) is omitted so pre-backend spec records
+        # and cache payloads stay byte-identical
         if self.backend == "neon" and self.vl == 128:
             del d["backend"], d["vl"]
         return d
@@ -236,8 +236,8 @@ class CampaignResult:
     jobs: int = 1
     cache_dir: str | None = None
     failures: list[RunFailure] = field(default_factory=list)
-    #: graceful-degradation counters (cache quarantines/evictions, stale
-    #: drops) — zero on a healthy campaign, surfaced so operators *see*
+    #: graceful-degradation counters (cache quarantines, stale drops) —
+    #: zero on a healthy campaign, surfaced so operators *see*
     #: recoveries instead of inferring them
     degradation: dict = field(default_factory=dict)
 
