@@ -29,6 +29,7 @@ scalar execution produced.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -37,6 +38,7 @@ import numpy as np
 
 from ..cpu.core import Core
 from ..cpu.covered import compile_covered, run_scalar_region, scan_region
+from ..cpu.predecode import DecodedOp
 from ..cpu.trace import TraceRecord
 from ..errors import ReproError
 from ..observe.events import EventKind
@@ -135,7 +137,7 @@ class _LoopContext:
     """Per-loop runtime state inside the DSA."""
 
     __slots__ = (
-        "loop_id", "end_pc", "dsa", "state", "iteration", "window",
+        "loop_id", "end_pc", "state", "iteration", "window",
         "path_windows", "path_counts", "streams", "call_depth", "has_inner",
         "has_call", "entry", "vcache_overflow", "suppress_pcs", "scalar_pcs",
         "suppress_active", "covered", "first_covered", "suppress_limit",
@@ -143,10 +145,9 @@ class _LoopContext:
         "current_path", "last_window", "pending_abort_reason",
     )
 
-    def __init__(self, loop_id: int, end_pc: int, dsa: "DynamicSIMDAssembler"):
+    def __init__(self, loop_id: int, end_pc: int):
         self.loop_id = loop_id
         self.end_pc = end_pc
-        self.dsa = dsa
         self.state = _State.COLLECT
         self.iteration = 1           # completed iterations
         self.window: list[TraceRecord] = []
@@ -231,7 +232,10 @@ class DynamicSIMDAssembler:
         self.vcache = VerificationCache(self.config)
         self.array_maps = ArrayMaps(self.config.array_maps, self.config.spare_neon_regs)
         self.stats = DSAStats()
-        self.core: Core | None = None
+        #: the attached core, held weakly: the core owns the DSA through
+        #: its hooks, and a strong reference back would make a cycle that
+        #: keeps every finished core alive until the cyclic collector runs
+        self._core_ref: weakref.ref[Core] | None = None
         self.contexts: dict[int, _LoopContext] = {}
         self._suppress_union: dict[int, frozenset] = {}
         self._suppress_set: frozenset = frozenset()
@@ -254,6 +258,11 @@ class DynamicSIMDAssembler:
         self._cover_marked: set[int] = set()
 
     @property
+    def core(self) -> Core | None:
+        ref = self._core_ref
+        return ref() if ref is not None else None
+
+    @property
     def _verify_enabled(self) -> bool:
         """Guarded mode always cross-checks, even with verification off."""
         return self.config.verify_functional or self.guard
@@ -262,9 +271,9 @@ class DynamicSIMDAssembler:
     # coupling
     # ------------------------------------------------------------------
     def attach(self, core: Core) -> None:
-        if self.core is not None:
+        if self._core_ref is not None:  # even if that core is gone by now
             raise ReproError("DSA already attached to a core")
-        self.core = core
+        self._core_ref = weakref.ref(core)
         core.retire_hooks.append(self.on_record)
         core.timing_suppressor = self._suppressor
         self._vector = core.vector
@@ -644,7 +653,7 @@ class DynamicSIMDAssembler:
         if entry is not None:
             self._start_from_cache(loop_id, end_pc, entry, record)
             return
-        ctx = _LoopContext(loop_id, end_pc, self)
+        ctx = _LoopContext(loop_id, end_pc)
         self.contexts[loop_id] = ctx
         self._ctx_snapshot = tuple(self.contexts.values())
         self.stats.analyses_started += 1
@@ -880,6 +889,7 @@ class DynamicSIMDAssembler:
             kind = LoopKind.DYNAMIC_RANGE if entry.bound_kind == "reg" else LoopKind.COUNT
             chunk = None
 
+        self._burst_plan(template)  # decoded once; replace() carries it
         live = replace(
             entry,
             kind=kind,
@@ -1442,7 +1452,7 @@ class DynamicSIMDAssembler:
         sentinel's remembered speculative range) are picked up from
         ``ctx.entry`` during the re-analysis.
         """
-        ctx = _LoopContext(loop_id, end_pc, self)
+        ctx = _LoopContext(loop_id, end_pc)
         self.contexts[loop_id] = ctx
         self._ctx_snapshot = tuple(self.contexts.values())
         ctx.entry = entry
@@ -1612,6 +1622,14 @@ class DynamicSIMDAssembler:
             )
 
     # ------------------------------------------------------------------
+    def _burst_plan(self, template: LoopTemplate) -> "_BurstPlan":
+        """The template's decoded burst, built on first use and kept on
+        the template (and so with its DSA-cache entry)."""
+        plan = template.burst_plan
+        if plan is None:
+            plan = template.burst_plan = _BurstPlan(template, self.core.timing)
+        return plan
+
     def _charge_template_burst(
         self,
         template: LoopTemplate,
@@ -1624,32 +1642,28 @@ class DynamicSIMDAssembler:
         join the same burst, so the pipeline fill is paid once."""
         if quads <= 0 or self.core is None:
             return
-        segments = [(first_iter, quads)] + list(extra_segments or [])
+        plan = self._burst_plan(template)
         timing = self.core.timing
-        hierarchy = self.core.hierarchy
+        access = self.core.hierarchy.access
+        width = template.width_bytes
         total = 0
-        for seg_first, seg_quads in segments:
-            if seg_quads <= 0:
+        for seg_first, seg_quads in [(first_iter, quads)] + list(extra_segments or []):
+            if seg_quads <= 0 or not plan.body:
                 continue
             start_addrs: dict[int, int] = {}
             for pc, stream in template.streams.items():
                 addr = stream.addr_at(seg_first)
-                if addr is None:
-                    addr = stream.first_addr
-                start_addrs[pc] = addr
-            try:
-                burst = template.emit_burst(start_addrs, seg_quads)
-            except TemplateReject:
-                continue
-            for instr, addr in burst:
-                mem_latency = 0
-                if addr is not None:
-                    mem_latency = hierarchy.access(addr, template.width_bytes, instr.is_store)
-                    self.stats.vector_mem_ops += 1
-                else:
-                    self.stats.vector_arith_ops += 1
-                timing.charge_vector(instr, mem_latency)
-            total += len(burst)
+                start_addrs[pc] = stream.first_addr if addr is None else addr
+            for op in plan.prologue:
+                timing.charge_vector_decoded(op)
+            for k in range(seg_quads):
+                offset = k * width
+                for op, pc, is_store in plan.body:
+                    mem_latency = 0 if pc is None else access(start_addrs[pc] + offset, width, is_store)
+                    timing.charge_vector_decoded(op, mem_latency)
+            self.stats.vector_mem_ops += seg_quads * plan.mem_ops
+            self.stats.vector_arith_ops += len(plan.prologue) + seg_quads * plan.arith_ops
+            total += len(plan.prologue) + seg_quads * len(plan.body)
         timing.end_vector_burst()
         self.stats.bursts_charged += 1
         self.stats.vector_instructions += total
@@ -1723,6 +1737,11 @@ class DynamicSIMDAssembler:
             stream = template.streams[pc]
             gap = stream.gap() or 0
             i0, a0 = stream.samples[0]
+            if self.injector is None and _stores_match(
+                self.core.memory, stream, gap, i0, a0, iters, values
+            ):
+                continue
+            # per element: the injector's hook, or the first mismatch's report
             for k, it in enumerate(iters):
                 addr = int(a0 + gap * (int(it) - i0))
                 expected = values[k].item()
@@ -1804,6 +1823,32 @@ class DynamicSIMDAssembler:
             )
 
 
+class _BurstPlan:
+    """A template's NEON burst, decoded once for the timing model: the
+    prologue and one vector iteration's body as :class:`DecodedOp` s with
+    their latency, each memory op with its stream pc and direction.  A
+    template whose burst cannot be generated (:class:`TemplateReject`)
+    gets an empty plan: it charges no instructions, as before."""
+
+    __slots__ = ("prologue", "body", "mem_ops", "arith_ops")
+
+    def __init__(self, template: LoopTemplate, timing) -> None:
+        try:
+            prologue, body = template.burst_program()
+        except TemplateReject:
+            prologue, body = [], []
+
+        def decode(instr) -> DecodedOp:
+            op = DecodedOp(instr, 0)
+            op.latency = timing.vector_latency(instr)
+            return op
+
+        self.prologue = tuple(decode(instr) for instr in prologue)
+        self.body = tuple((decode(instr), pc, instr.is_store) for instr, pc in body)
+        self.mem_ops = sum(1 for _, pc in body if pc is not None)
+        self.arith_ops = len(body) - self.mem_ops
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -1828,6 +1873,39 @@ def _common_suffix(sigs: list[tuple]) -> tuple:
 
 def _round_up(value: int, multiple: int) -> int:
     return ((value + multiple - 1) // multiple) * multiple
+
+
+def _stores_match(memory, stream: MemStream, gap: int, i0: int, a0: int, iters: np.ndarray, values) -> bool:
+    """:func:`_values_equal` over a whole store stream at once.
+
+    Applies when the iterations are consecutive and the stream is
+    contiguous, so the scalar results are one ``read_array``.  False means
+    "not shown equal": the caller then checks element by element, which
+    also reports the first mismatch.  Integer pairs compare exactly;
+    pairs whose common numpy type is not an integer (``u64`` with ``i64``
+    promotes to float64) and int/float pairs are left to the element loop.
+    """
+    n = len(iters)
+    size = stream.dtype.size
+    if n == 0 or gap != size or not np.all(np.diff(iters) == 1):
+        return False
+    addr = int(a0 + gap * (int(iters[0]) - i0))
+    if addr < 0 or addr + size * n > memory.size:
+        return False
+    actual = memory.read_array(addr, stream.dtype, n)
+    expected = np.asarray(values)
+    if expected.shape != actual.shape:
+        return False
+    kinds = actual.dtype.kind + expected.dtype.kind
+    if kinds == "ff":
+        a = actual.astype(np.float64)
+        b = expected.astype(np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            close = np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b))
+        return bool(np.all((a == b) | (np.isnan(a) & np.isnan(b)) | close))
+    if np.result_type(actual.dtype, expected.dtype).kind == "f":
+        return False
+    return bool(np.array_equal(actual, expected))
 
 
 def _values_equal(a, b) -> bool:

@@ -119,6 +119,10 @@ class LoopTemplate:
     #: (defaults are NEON's)
     width_bytes: int = 16
     num_regs: int = 16
+    #: the burst decoded for the timing model, built by the engine on first
+    #: use and carried along by ``dataclasses.replace``, so every
+    #: invocation a DSA-cache entry serves reuses it
+    burst_plan: object = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -138,53 +142,61 @@ class LoopTemplate:
     # ------------------------------------------------------------------
     # NEON burst generation (timing model)
     # ------------------------------------------------------------------
-    def emit_burst(
-        self,
-        start_addrs: dict[int, int],
-        quads: int,
-        invariant_values: dict[int, int] | None = None,
-    ) -> list[tuple[VInstr, int | None]]:
-        """Build the (instruction, data-address) burst covering ``quads``
-        vector iterations starting at the given per-stream addresses."""
-        out: list[tuple[VInstr, int | None]] = []
+    def burst_program(self) -> tuple[list[VInstr], list[tuple[VInstr, int | None]]]:
+        """The burst's shape, independent of addresses and length: the
+        prologue broadcasting invariants/constants once, and one vector
+        iteration's body as ``(instruction, stream pc or None)`` pairs.
+
+        Every vector iteration reuses the same registers, so the body is
+        identical across iterations and a :class:`TemplateReject` (register
+        file exhausted, op without a NEON mapping) does not depend on the
+        burst's length."""
         qmap: dict[object, int] = {}
-        next_q = [0]
 
         def alloc(key: object) -> int:
             if key not in qmap:
-                if next_q[0] >= self.num_regs:
+                if len(qmap) >= self.num_regs:
                     raise TemplateReject(
                         "too many operations for the vector register file"
                     )
-                qmap[key] = next_q[0]
-                next_q[0] += 1
+                qmap[key] = len(qmap)
             return qmap[key]
 
-        # broadcast invariants / constants once, ahead of the burst
+        prologue: list[VInstr] = []
         for node_id, node in enumerate(self.nodes):
             if node.kind == "invariant":
-                out.append((VDup(QReg(alloc(("n", node_id))), Reg(node.reg or 0), self.dtype), None))
+                prologue.append(VDup(QReg(alloc(("n", node_id))), Reg(node.reg or 0), self.dtype))
             elif node.kind == "const":
-                out.append((VDupImm(QReg(alloc(("n", node_id))), int(node.value or 0), self.dtype), None))
+                prologue.append(VDupImm(QReg(alloc(("n", node_id))), int(node.value or 0), self.dtype))
 
         base = Reg(0)  # placeholder base register; addresses are explicit
+        body: list[tuple[VInstr, int | None]] = []
+        for pc in self.load_pcs:
+            q = alloc(("load", pc))
+            body.append((VLoad(qd=QReg(q), base=base, dtype=self.streams[pc].dtype), pc))
+        for node_id, node in enumerate(self.nodes):
+            if node.kind != "op":
+                continue
+            q = alloc(("n", node_id))
+            srcs = [QReg(alloc(self._qkey(i))) for i in node.operands]
+            body.append((self._vop(node, QReg(q), srcs), None))
+        for root in self.stores:
+            q = alloc(self._qkey(root.node))
+            dtype = self.streams[root.stream_pc].dtype
+            body.append((VStore(qs=QReg(q), base=base, dtype=dtype), root.stream_pc))
+        return prologue, body
+
+    def emit_burst(
+        self, start_addrs: dict[int, int], quads: int
+    ) -> list[tuple[VInstr, int | None]]:
+        """Build the (instruction, data-address) burst covering ``quads``
+        vector iterations starting at the given per-stream addresses."""
+        prologue, body = self.burst_program()
+        out: list[tuple[VInstr, int | None]] = [(instr, None) for instr in prologue]
         for k in range(quads):
-            for pc in self.load_pcs:
-                stream = self.streams[pc]
-                q = alloc(("load", pc))
-                addr = start_addrs[pc] + k * self.width_bytes
-                out.append((VLoad(qd=QReg(q), base=base, dtype=stream.dtype), addr))
-            for node_id, node in enumerate(self.nodes):
-                if node.kind != "op":
-                    continue
-                q = alloc(("n", node_id))
-                srcs = [QReg(alloc(self._qkey(i))) for i in node.operands]
-                out.append((self._vop(node, QReg(q), srcs), None))
-            for root in self.stores:
-                stream = self.streams[root.stream_pc]
-                q = alloc(self._qkey(root.node))
-                addr = start_addrs[root.stream_pc] + k * self.width_bytes
-                out.append((VStore(qs=QReg(q), base=base, dtype=stream.dtype), addr))
+            offset = k * self.width_bytes
+            for instr, pc in body:
+                out.append((instr, None if pc is None else start_addrs[pc] + offset))
         return out
 
     def _qkey(self, node_id: int) -> object:

@@ -35,6 +35,25 @@ NEON_WIDTH_BITS = 128
 NEON_WIDTH_BYTES = NEON_WIDTH_BITS // 8
 
 
+def _make_unpacker(bits: int, is_float: bool, is_signed: bool):
+    """A precompiled little-endian reader for one element type."""
+    if is_float:
+        unpack_f32 = struct.Struct("<f").unpack_from
+        return lambda buffer, offset=0: unpack_f32(buffer, offset)[0]
+    fmt = {8: "B", 16: "H", 32: "I", 64: "Q"}[bits]
+    unpack_uint = struct.Struct("<" + fmt).unpack_from
+    if not is_signed:
+        return lambda buffer, offset=0: unpack_uint(buffer, offset)[0]
+    sign_bit = 1 << (bits - 1)
+    wrap = 1 << bits
+
+    def unpack_signed(buffer, offset=0):
+        v = unpack_uint(buffer, offset)[0]
+        return v - wrap if v >= sign_bit else v
+
+    return unpack_signed
+
+
 class DType(Enum):
     """An element type, named after the NEON instruction suffixes."""
 
@@ -49,45 +68,23 @@ class DType(Enum):
     F32 = "f32"
 
     # ------------------------------------------------------------------
-    # basic geometry
+    # basic geometry: static per-member facts, computed once here because
+    # the interpreter and the vector engine read them on every instruction
     # ------------------------------------------------------------------
-    @property
-    def bits(self) -> int:
-        return _BITS[self]
-
-    @property
-    def size(self) -> int:
-        """Element size in bytes."""
-        return _BITS[self] // 8
-
-    @property
-    def lanes(self) -> int:
-        """How many elements fit in one 128-bit NEON register."""
-        return NEON_WIDTH_BYTES // self.size
-
-    @property
-    def is_float(self) -> bool:
-        return self is DType.F32
-
-    @property
-    def is_signed(self) -> bool:
-        return self.value[0] in ("i", "f")
-
-    @property
-    def numpy(self) -> np.dtype:
-        return np.dtype(
-            {
-                DType.I8: np.int8,
-                DType.U8: np.uint8,
-                DType.I16: np.int16,
-                DType.U16: np.uint16,
-                DType.I32: np.int32,
-                DType.U32: np.uint32,
-                DType.I64: np.int64,
-                DType.U64: np.uint64,
-                DType.F32: np.float32,
-            }[self]
-        )
+    def __init__(self, suffix: str) -> None:
+        #: element width in bits
+        self.bits: int = int(suffix[1:])
+        #: element size in bytes
+        self.size: int = self.bits // 8
+        #: how many elements fit in one 128-bit NEON register
+        self.lanes: int = NEON_WIDTH_BYTES // self.size
+        self.is_float: bool = suffix[0] == "f"
+        self.is_signed: bool = suffix[0] in ("i", "f")
+        self.numpy: np.dtype = np.dtype(f"{suffix[0]}{self.size}")  # e.g. "i4"
+        #: ``unpack_from(buffer, offset=0)``: like :meth:`unpack` but straight
+        #: out of a buffer, with no intermediate ``bytes`` copy — the memory
+        #: model's hot read path
+        self.unpack_from = _make_unpacker(self.bits, self.is_float, self.is_signed)
 
     # ------------------------------------------------------------------
     # scalar conversions
@@ -130,11 +127,6 @@ class DType(Enum):
         fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[self.size]
         return self.wrap(struct.unpack("<" + fmt, raw)[0])
 
-    def unpack_from(self, buffer, offset: int = 0) -> int | float:
-        """Like :meth:`unpack` but straight out of a buffer, with no
-        intermediate ``bytes`` copy — the memory model's hot read path."""
-        return _UNPACKERS[self](buffer, offset)
-
     @classmethod
     def from_suffix(cls, suffix: str) -> "DType":
         """Parse an instruction suffix such as ``i32`` or ``f32``."""
@@ -145,33 +137,6 @@ class DType(Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-#: per-member geometry caches — enum properties are hot in the interpreter,
-#: so the dict lookup replaces string slicing on every access
-_BITS: dict[DType, int] = {m: int(m.value.lstrip("iuf")) for m in DType}
-
-
-def _make_unpacker(dtype: DType):
-    if dtype.is_float:
-        unpack_f32 = struct.Struct("<f").unpack_from
-        return lambda buffer, offset=0: unpack_f32(buffer, offset)[0]
-    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[dtype.size]
-    unpack_uint = struct.Struct("<" + fmt).unpack_from
-    if not dtype.is_signed:
-        return lambda buffer, offset=0: unpack_uint(buffer, offset)[0]
-    sign_bit = 1 << (dtype.bits - 1)
-    wrap = 1 << dtype.bits
-
-    def unpack_signed(buffer, offset=0):
-        v = unpack_uint(buffer, offset)[0]
-        return v - wrap if v >= sign_bit else v
-
-    return unpack_signed
-
-
-#: precompiled little-endian unpackers, one per member (no bytes copies)
-_UNPACKERS = {m: _make_unpacker(m) for m in DType}
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,17 @@ class Cache:
     def __init__(self, config: CacheConfig):
         self.config = config
         self.stats = CacheStats()
+        # the geometry, read on every access, held in plain fields
+        self.line_bytes = config.line_bytes
+        self.num_sets = config.num_sets
+        self.associativity = config.associativity
         # each set is an LRU-ordered list of (tag, dirty) — index 0 is LRU
-        self._sets: list[list[list]] = [[] for _ in range(config.num_sets)]
+        self._sets: list[list[list]] = [[] for _ in range(self.num_sets)]
 
     # ------------------------------------------------------------------
     def _index_tag(self, addr: int) -> tuple[int, int]:
-        line = addr // self.config.line_bytes
-        return line % self.config.num_sets, line // self.config.num_sets
+        tag, index = divmod(addr // self.line_bytes, self.num_sets)
+        return index, tag
 
     def lookup(self, addr: int) -> bool:
         """Non-destructive presence check (no stats, no LRU update)."""
@@ -80,22 +84,23 @@ class Cache:
         On a miss the line is allocated (write-allocate) and the LRU victim
         evicted, counting a writeback if it was dirty.
         """
-        self.stats.accesses += 1
-        index, tag = self._index_tag(addr)
+        stats = self.stats
+        stats.accesses += 1
+        tag, index = divmod(addr // self.line_bytes, self.num_sets)
         entries = self._sets[index]
         for i, entry in enumerate(entries):
             if entry[0] == tag:
                 entries.append(entries.pop(i))  # move to MRU
                 if is_write:
                     entry[1] = True
-                self.stats.hits += 1
+                stats.hits += 1
                 return True
-        self.stats.misses += 1
-        if len(entries) >= self.config.associativity:
+        stats.misses += 1
+        if len(entries) >= self.associativity:
             victim = entries.pop(0)
-            self.stats.evictions += 1
+            stats.evictions += 1
             if victim[1]:
-                self.stats.writebacks += 1
+                stats.writebacks += 1
         entries.append([tag, is_write])
         return False
 

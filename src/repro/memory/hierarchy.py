@@ -29,27 +29,33 @@ class MemoryHierarchy:
         self.l1 = Cache(self.config.l1)
         self.l2 = Cache(self.config.l2)
         self.dram_accesses = 0
+        self._line = self.config.l1.line_bytes
+        self._l1_latency = self.config.l1.hit_latency
+        self._l2_latency = self.config.l2.hit_latency
+        self._dram_latency = self.config.dram_latency
 
     # ------------------------------------------------------------------
     def access(self, addr: int, nbytes: int = 4, is_write: bool = False) -> int:
         """Access ``nbytes`` at ``addr``; returns total latency in cycles."""
-        line = self.config.l1.line_bytes
+        line = self._line
         first = addr // line
-        last = (addr + max(nbytes, 1) - 1) // line
+        last = (addr + nbytes - 1) // line if nbytes > 1 else first
+        if first == last:  # the common case: the access stays in one line
+            return self._access_line(first * line, is_write)
         latency = 0
         for line_no in range(first, last + 1):
             latency += self._access_line(line_no * line, is_write)
         return latency
 
     def _access_line(self, addr: int, is_write: bool) -> int:
-        latency = self.config.l1.hit_latency
+        latency = self._l1_latency
         if self.l1.access(addr, is_write):
             return latency
-        latency += self.config.l2.hit_latency
+        latency += self._l2_latency
         if self.l2.access(addr, is_write):
             return latency
         self.dram_accesses += 1
-        return latency + self.config.dram_latency
+        return latency + self._dram_latency
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:

@@ -149,6 +149,7 @@ class TestStatsAndConfig:
         dsa = DynamicSIMDAssembler()
         lowered = lower(vecsum_kernel(16))
         execute_kernel(lowered, vecsum_args(16), attach=dsa.attach)
+        assert dsa.core is None  # the first core is gone, yet the DSA stays bound
         with pytest.raises(ReproError):
             execute_kernel(lowered, vecsum_args(16), attach=dsa.attach)
 
@@ -227,3 +228,35 @@ class TestLeftoverPolicy:
             run, _ = run_with(vecsum_kernel(53), vecsum_args(53), cfg)
             outs.append(run.array("out"))
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+class TestCoreLifetime:
+    """The core owns its DSA (through the retire hook); the DSA must not
+    own the core back, or every finished core would wait for the cyclic
+    collector — peak memory would grow with the number of runs."""
+
+    @pytest.mark.parametrize("system", ["arm_original", "neon_autovec", "neon_dsa"])
+    def test_core_dies_with_its_run(self, monkeypatch, system):
+        import gc
+        import weakref
+
+        import repro.systems.runner as runner
+        from repro.systems.campaign import RunSpec, execute_spec
+
+        cores = []
+
+        class TrackedCore(runner.Core):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                cores.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "Core", TrackedCore)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            execute_spec(RunSpec(workload="rgb_gray", system=system))
+            assert len(cores) == 1
+            assert cores[0]() is None, "the core outlived its run"
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -1,5 +1,7 @@
 """Unit tests for element types and register-width helpers."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -51,6 +53,59 @@ class TestGeometry:
     def test_numpy_mapping(self):
         assert DType.I16.numpy == np.dtype(np.int16)
         assert DType.F32.numpy == np.dtype(np.float32)
+
+
+#: every member's static facts: bits, size, lanes, is_float, is_signed, numpy
+FACTS = {
+    DType.I8: (8, 1, 16, False, True, np.int8),
+    DType.U8: (8, 1, 16, False, False, np.uint8),
+    DType.I16: (16, 2, 8, False, True, np.int16),
+    DType.U16: (16, 2, 8, False, False, np.uint16),
+    DType.I32: (32, 4, 4, False, True, np.int32),
+    DType.U32: (32, 4, 4, False, False, np.uint32),
+    DType.I64: (64, 8, 2, False, True, np.int64),
+    DType.U64: (64, 8, 2, False, False, np.uint64),
+    DType.F32: (32, 4, 4, True, True, np.float32),
+}
+
+
+class TestMemberFacts:
+    """The per-member facts are plain attributes fixed at class creation;
+    this table pins each one, so no member can drift from the others."""
+
+    def test_table_covers_every_member(self):
+        assert set(FACTS) == set(DType)
+
+    @pytest.mark.parametrize("dtype", list(DType), ids=str)
+    def test_facts(self, dtype):
+        bits, size, lanes, is_float, is_signed, np_type = FACTS[dtype]
+        assert (dtype.bits, dtype.size, dtype.lanes) == (bits, size, lanes)
+        assert dtype.is_float is is_float and dtype.is_signed is is_signed
+        assert dtype.numpy == np.dtype(np_type)
+        assert dtype.numpy.byteorder == np.dtype(np_type).byteorder
+        assert dtype.numpy.itemsize == size
+
+    @pytest.mark.parametrize("dtype", list(DType), ids=str)
+    def test_unpack_from_matches_numpy(self, dtype):
+        raw = bytes(range(0x80, 0x90))  # every sign bit set, no float NaN
+        for offset in (0, 3, 16 - dtype.size):
+            got = dtype.unpack_from(raw, offset)
+            want = np.frombuffer(raw, dtype=dtype.numpy, count=1, offset=offset)[0].item()
+            assert got == want
+            assert got == dtype.unpack(raw[offset:offset + dtype.size])
+
+    @pytest.mark.parametrize("dtype", list(DType), ids=str)
+    def test_pickle_round_trip_is_the_member(self, dtype):
+        clone = pickle.loads(pickle.dumps(dtype))
+        assert clone is dtype
+        assert clone.numpy == dtype.numpy and clone.unpack_from is dtype.unpack_from
+
+    def test_hashing_is_by_member(self):
+        table = {dtype: dtype.value for dtype in DType}
+        assert len(table) == len(DType)
+        for dtype in DType:
+            assert table[DType(dtype.value)] == dtype.value
+            assert hash(dtype) == hash(pickle.loads(pickle.dumps(dtype)))
 
 
 class TestWrap:
