@@ -5,19 +5,17 @@ Commands
 ``campaign``     run the (workload × system × DSA-stage) matrix, parallel + cached
 ``experiments``  regenerate every paper table/figure (or a chosen one)
 ``run``          run one workload on one or all systems
-``bench``        measure simulator throughput (guest MIPS per host second)
-``report``       render a saved campaign/bench JSON record as tables
+``report``       render a saved ``campaign --json`` record as a table
 ``workloads``    list the available benchmarks
 ``asm``          print the lowered assembly of a workload per system
 ``area``         print the DSA area table (Article 1, Table 3)
-``trace``        run one spec instrumented; export Chrome tracing / JSONL / Prometheus
+``trace``        run one spec instrumented; export Chrome tracing / JSONL
 ``stats``        per-loop-type DSA coverage table (paper loop taxonomy)
 
 Configuration mistakes (unknown workload, experiment, system, ...) print a
 one-line error naming the valid choices and exit with status 2 — never a
 raw traceback.  A campaign that runs to completion but could not finish
-every spec reports each failure by label and exits with status 3; a bench
-throughput regression against ``--check-baseline`` exits with status 4; a
+every spec reports each failure by label and exits with status 3; a
 loop-class coverage deficit under ``stats --gate`` exits with status 5.
 """
 
@@ -139,52 +137,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .systems.bench import (
-        DEFAULT_WORKLOADS,
-        check_baseline,
-        load_baseline,
-        run_bench,
-    )
-
-    def progress(label: str) -> None:
-        print(f"bench: {label}", file=sys.stderr)
-
-    report = run_bench(
-        scale=args.scale,
-        repeats=args.repeats,
-        workloads=args.workloads or DEFAULT_WORKLOADS,
-        systems=args.systems,
-        compare_legacy=args.compare_legacy,
-        quick=args.quick,
-        progress=None if args.json else progress,
-    )
-    payload = report.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(report.table())
-    if args.check_baseline:
-        problems = check_baseline(
-            report, load_baseline(args.check_baseline), tolerance=args.tolerance
-        )
-        for problem in problems:
-            print(f"regression: {problem}", file=sys.stderr)
-        if problems:
-            return 4  # throughput regression, distinct from config (2) / campaign (3)
-        print(
-            f"throughput within {args.tolerance:.0%} of baseline "
-            f"({report.aggregate_mips:.2f} MIPS)",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         with open(args.record, "r", encoding="utf-8") as fh:
@@ -194,43 +146,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.record} is not valid JSON: {exc}") from None
 
-    if "bench_version" in payload:  # a repro bench record
-        header = ["workload", "system", "instructions", "host_s", "mips"]
-        rows = [
-            [r["workload"], r["system"], str(r["instructions"]),
-             f"{r['host_seconds']:.3f}", f"{r['guest_mips']:.2f}"]
-            for r in payload.get("runs", [])
-        ]
-        aggregate = payload.get("aggregate", {})
-        tail = (
-            f"aggregate: {aggregate.get('instructions', 0)} guest instructions = "
-            f"{aggregate.get('guest_mips', 0.0):.2f} MIPS"
-        )
-    elif "campaign" in payload:  # a repro campaign --json record
-        header = ["workload", "system", "stage", "cycles", "source", "wall_s", "host_s", "mips"]
-        rows = []
-        for m in payload.get("runs", []):
-            spec = m["spec"]
-            live = not m.get("cache_hit", False)
-            rows.append([
-                spec["workload"], spec["system"], spec["dsa_stage"], str(m["cycles"]),
-                m["source"], f"{m['wall_time_s']:.3f}",
-                f"{m.get('host_seconds', 0.0):.3f}" if live else "-",
-                f"{m.get('guest_mips', 0.0):.2f}" if live else "-",
-            ])
-        c = payload["campaign"]
-        tail = (
-            f"{c.get('total_runs', 0)} runs: {c.get('cache_hits', 0)} from cache, "
-            f"{c.get('computed', 0)} computed in {c.get('wall_time_s', 0.0):.2f}s"
-        )
-        worn = {k: v for k, v in (c.get("degradation") or {}).items() if v}
-        if worn:
-            tail += "\ndegradation: " + ", ".join(
-                f"{k.replace('_', ' ')}={v}" for k, v in sorted(worn.items())
-            )
-    else:
-        raise ConfigError(
-            f"{args.record} is neither a campaign record nor a bench record"
+    if not isinstance(payload, dict) or "campaign" not in payload:
+        raise ConfigError(f"{args.record} is not a campaign record")
+    header = ["workload", "system", "stage", "cycles", "source", "wall_s", "host_s", "mips"]
+    rows = []
+    for m in payload.get("runs", []):
+        spec = m["spec"]
+        live = not m.get("cache_hit", False)
+        rows.append([
+            spec["workload"], spec["system"], spec["dsa_stage"], str(m["cycles"]),
+            m["source"], f"{m['wall_time_s']:.3f}",
+            f"{m.get('host_seconds', 0.0):.3f}" if live else "-",
+            f"{m.get('guest_mips', 0.0):.2f}" if live else "-",
+        ])
+    c = payload["campaign"]
+    tail = (
+        f"{c.get('total_runs', 0)} runs: {c.get('cache_hits', 0)} from cache, "
+        f"{c.get('computed', 0)} computed in {c.get('wall_time_s', 0.0):.2f}s"
+    )
+    worn = {k: v for k, v in (c.get("degradation") or {}).items() if v}
+    if worn:
+        tail += "\ndegradation: " + ", ".join(
+            f"{k.replace('_', ' ')}={v}" for k, v in sorted(worn.items())
         )
     widths = [
         max(len(header[i]), max((len(r[i]) for r in rows), default=0))
@@ -244,12 +181,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .observe import (
-        Observer,
-        write_chrome_trace,
-        write_jsonl,
-        write_prometheus,
-    )
+    from .observe import Observer, write_chrome_trace, write_jsonl
     from .systems.campaign import execute_spec
 
     spec = RunSpec(
@@ -267,12 +199,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.jsonl:
         write_jsonl(observer, args.jsonl)
         print(f"wrote {args.jsonl}", file=sys.stderr)
-    if args.prom:
-        write_prometheus(
-            observer, args.prom,
-            labels={"workload": spec.workload, "system": spec.system},
-        )
-        print(f"wrote {args.prom}", file=sys.stderr)
     profile = observer.profile()
     print(f"{spec.label}: {result.cycles} cycles, {result.instructions} instructions")
     for kind, count in sorted(profile.events.items()):
@@ -453,29 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("bench", help="measure simulator throughput (guest MIPS)")
-    p.add_argument("--scale", default="test", choices=("test", "bench", "full"))
-    p.add_argument("--workloads", nargs="*", default=None,
-                   help="workload ids to time (default: matmul rgb_gray bitcount)")
-    p.add_argument("--systems", nargs="*", default=None, choices=SYSTEM_NAMES,
-                   help="systems to time (default: all four)")
-    p.add_argument("--repeats", type=int, default=3, metavar="N",
-                   help="timing repeats per spec, best-of-N (default: 3)")
-    p.add_argument("--quick", action="store_true",
-                   help="small fixed matrix, one repeat (CI smoke configuration)")
-    p.add_argument("--compare-legacy", action="store_true",
-                   help="also time the legacy interpreter (predecode=False) and report speedups")
-    p.add_argument("-o", "--output", default=None, metavar="FILE.json",
-                   help="write the JSON report (e.g. BENCH_sim_throughput.json)")
-    p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
-    p.add_argument("--check-baseline", default=None, metavar="BASELINE.json",
-                   help="compare against a saved report; exit 4 on throughput regression")
-    p.add_argument("--tolerance", type=float, default=0.25, metavar="FRACTION",
-                   help="allowed aggregate slowdown vs baseline (default: 0.25)")
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("report", help="render a saved campaign/bench JSON record")
-    p.add_argument("record", help="path to a 'repro campaign --json' or 'repro bench' record")
+    p = sub.add_parser("report", help="render a saved campaign JSON record")
+    p.add_argument("record", help="path to a 'repro campaign --json' record")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("workloads", help="list benchmarks")
@@ -504,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Chrome tracing output path (default: <workload>_<system>.trace.json)")
     p.add_argument("--jsonl", default=None, metavar="FILE.jsonl",
                    help="also write the raw event log as JSON lines")
-    p.add_argument("--prom", default=None, metavar="FILE.prom",
-                   help="also write Prometheus textfile counters")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(

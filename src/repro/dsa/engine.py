@@ -1900,8 +1900,10 @@ def _stores_match(memory, stream: MemStream, gap: int, i0: int, a0: int, iters: 
     if kinds == "ff":
         a = actual.astype(np.float64)
         b = expected.astype(np.float64)
+        # an infinity matches only itself: |inf - x| <= 1e-6 * inf holds for any x
+        finite = np.isfinite(a) & np.isfinite(b)
         with np.errstate(invalid="ignore", over="ignore"):
-            close = np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b))
+            close = finite & (np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b)))
         return bool(np.all((a == b) | (np.isnan(a) & np.isnan(b)) | close))
     if np.result_type(actual.dtype, expected.dtype).kind == "f":
         return False
@@ -1910,5 +1912,8 @@ def _stores_match(memory, stream: MemStream, gap: int, i0: int, a0: int, iters: 
 
 def _values_equal(a, b) -> bool:
     if isinstance(a, float) or isinstance(b, float):
-        return a == b or (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-6 * max(abs(a), abs(b))
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return True
+        # an infinity matches only itself: |inf - x| <= 1e-6 * inf holds for any x
+        return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= 1e-6 * max(abs(a), abs(b))
     return int(a) == int(b)

@@ -48,52 +48,67 @@ def broadcast(value: int | float, dtype: DType, lanes: int | None = None) -> np.
     return from_lanes([dtype.wrap(value)] * n, dtype, lanes=n)
 
 
+def _arith(kind: VBinKind, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    if kind is VBinKind.VADD:
+        return va + vb
+    if kind is VBinKind.VSUB:
+        return va - vb
+    if kind is VBinKind.VMUL:
+        return va * vb
+    if kind is VBinKind.VMIN:
+        return np.minimum(va, vb)
+    if kind is VBinKind.VMAX:
+        return np.maximum(va, vb)
+    raise ValueError(f"bad vector binop kind: {kind!r}")
+
+
+def _abs_neg(kind: VUnaryKind, va: np.ndarray) -> np.ndarray:
+    if kind is VUnaryKind.VABS:
+        return np.abs(va)
+    if kind is VUnaryKind.VNEG:
+        return -va
+    raise ValueError(f"bad vector unary kind: {kind!r}")
+
+
+# Integer array arithmetic wraps without setting any FP flag, so only float
+# lanes (overflow to inf, inf - inf) need the quiet error state.
 def binop(kind: VBinKind, a: np.ndarray, b: np.ndarray, dtype: DType) -> np.ndarray:
     """Lane-wise binary operation; returns a fresh image of the same width."""
+    if kind is VBinKind.VAND:
+        return a.view(np.uint8) & b.view(np.uint8)
+    if kind is VBinKind.VORR:
+        return a.view(np.uint8) | b.view(np.uint8)
+    if kind is VBinKind.VEOR:
+        return a.view(np.uint8) ^ b.view(np.uint8)
     va, vb = view(a, dtype), view(b, dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind is VBinKind.VADD:
-            out = va + vb
-        elif kind is VBinKind.VSUB:
-            out = va - vb
-        elif kind is VBinKind.VMUL:
-            out = va * vb
-        elif kind is VBinKind.VMIN:
-            out = np.minimum(va, vb)
-        elif kind is VBinKind.VMAX:
-            out = np.maximum(va, vb)
-        elif kind in (VBinKind.VAND, VBinKind.VORR, VBinKind.VEOR):
-            ia = a.view(np.uint8)
-            ib = b.view(np.uint8)
-            if kind is VBinKind.VAND:
-                return (ia & ib).copy()
-            if kind is VBinKind.VORR:
-                return (ia | ib).copy()
-            return (ia ^ ib).copy()
-        else:
-            raise ValueError(f"bad vector binop kind: {kind!r}")
+    if dtype.is_float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _arith(kind, va, vb)
+    else:
+        out = _arith(kind, va, vb)
     return out.astype(dtype.numpy).view(np.uint8).copy()
 
 
 def mla(acc: np.ndarray, a: np.ndarray, b: np.ndarray, dtype: DType) -> np.ndarray:
     """acc + a*b, lane-wise."""
     vacc, va, vb = view(acc, dtype), view(a, dtype), view(b, dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
+    if dtype.is_float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = vacc + va * vb
+    else:
         out = vacc + va * vb
     return out.astype(dtype.numpy).view(np.uint8).copy()
 
 
 def unary(kind: VUnaryKind, a: np.ndarray, dtype: DType) -> np.ndarray:
+    if kind is VUnaryKind.VMVN:
+        return ~a.view(np.uint8)
     va = view(a, dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind is VUnaryKind.VABS:
-            out = np.abs(va)
-        elif kind is VUnaryKind.VNEG:
-            out = -va
-        elif kind is VUnaryKind.VMVN:
-            return (~a.view(np.uint8)).copy()
-        else:
-            raise ValueError(f"bad vector unary kind: {kind!r}")
+    if dtype.is_float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _abs_neg(kind, va)
+    else:
+        out = _abs_neg(kind, va)
     return out.astype(dtype.numpy).view(np.uint8).copy()
 
 
@@ -102,8 +117,7 @@ def shift(left: bool, a: np.ndarray, amount: int, dtype: DType) -> np.ndarray:
     if dtype.is_float:
         raise ValueError("cannot shift float lanes")
     va = view(a, dtype)
-    with np.errstate(over="ignore"):
-        out = (va << amount) if left else (va >> amount)
+    out = (va << amount) if left else (va >> amount)
     return out.astype(dtype.numpy).view(np.uint8).copy()
 
 

@@ -4,13 +4,12 @@ Explains *why* the simulator did what it did: typed events from every
 execution layer (DSA decisions, NEON dispatch, cache traffic, worker
 retries), span timing in host microseconds and simulation cycles, per-run
 profiles attached to campaign metrics, and exporters for the formats the
-surrounding tooling speaks (JSONL, Chrome ``chrome://tracing``,
-Prometheus textfiles).
+surrounding tooling speaks (JSONL, Chrome ``chrome://tracing``).
 
 Instrumentation is strictly opt-in: every hook defaults to ``None`` and
 costs one pointer comparison when disabled — simulation results and
 fast-path throughput are byte-identical with observers off (gated by the
-predecode identity suite and the bench baseline).
+predecode identity suite and the repo benchmark).
 
 Entry points::
 
@@ -30,11 +29,9 @@ from .export import (
     check_chrome_trace,
     chrome_trace,
     jsonl_records,
-    prometheus_text,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
-    write_prometheus,
 )
 from .profile import RunProfile
 from .spans import Span
@@ -54,8 +51,6 @@ __all__ = [
     "check_chrome_trace",
     "jsonl_records",
     "read_jsonl",
-    "prometheus_text",
     "write_chrome_trace",
     "write_jsonl",
-    "write_prometheus",
 ]

@@ -4,8 +4,8 @@ Design contract — **zero overhead when disabled**: every instrumented
 subsystem holds ``observer = None`` by default and guards each emission
 with a single ``is not None`` check, and no instrumentation sits inside
 the predecoded record-free run loop at all.  The byte-identity suite
-(``tests/cpu/test_predecode_identity.py``) and the throughput baseline
-(``repro bench --check-baseline``) are the gates that keep that true.
+(``tests/cpu/test_predecode_identity.py``) and the repo benchmark
+(``benchmarks/suite/run.py --compare``) are the gates that keep that true.
 
 The second contract is **observation never perturbs results**: an
 observer only reads simulator state, so a run with an observer attached

@@ -1,14 +1,12 @@
 """Exporters: turn one observer's stream into standard tool formats.
 
-Three formats, matching how people actually consume traces:
+Two formats, matching how people actually consume traces:
 
 * **JSONL** — one record per line, events and spans interleaved in
   emission order; the greppable archival form.
 * **Chrome tracing JSON** — loads straight into ``chrome://tracing`` /
   Perfetto: spans become complete (``"ph": "X"``) slices, events become
   instants (``"ph": "i"``), and metadata events name the process.
-* **Prometheus textfile** — counters in node-exporter textfile-collector
-  syntax, for scraping run farms.
 """
 
 from __future__ import annotations
@@ -151,66 +149,3 @@ def check_chrome_trace(payload: dict) -> list[str]:
             problems.append(f"traceEvents[{i}] (i) has invalid scope {ev.get('s')!r}")
     return problems
 
-
-# ---------------------------------------------------------------------------
-# Prometheus textfile
-# ---------------------------------------------------------------------------
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def prometheus_text(observer, prefix: str = "repro", labels: dict | None = None) -> str:
-    """Counters in Prometheus textfile-collector exposition format."""
-    base = ""
-    if labels:
-        base = ",".join(
-            f'{k}="{_escape_label(str(v))}"' for k, v in sorted(labels.items())
-        )
-
-    def labelset(extra: dict) -> str:
-        parts = [base] if base else []
-        parts += [f'{k}="{_escape_label(str(v))}"' for k, v in sorted(extra.items())]
-        return "{" + ",".join(parts) + "}" if parts else ""
-
-    lines = [
-        f"# HELP {prefix}_events_total Observability events emitted, by kind.",
-        f"# TYPE {prefix}_events_total counter",
-    ]
-    event_counts = {
-        kind: count for kind, count in sorted(observer.counts.items())
-        if not kind.startswith("span:")
-    }
-    for kind, count in event_counts.items():
-        lines.append(f"{prefix}_events_total{labelset({'kind': kind})} {count}")
-
-    span_totals: dict[tuple[str, str], dict] = {}
-    for span in observer.spans:
-        agg = span_totals.setdefault((span.cat, span.name),
-                                     {"count": 0, "us": 0.0, "cycles": 0})
-        agg["count"] += 1
-        agg["us"] += span.dur_us
-        if span.cycles is not None:
-            agg["cycles"] += span.cycles
-    lines += [
-        f"# HELP {prefix}_span_seconds_total Host seconds spent inside spans.",
-        f"# TYPE {prefix}_span_seconds_total counter",
-    ]
-    for (cat, name), agg in sorted(span_totals.items()):
-        ls = labelset({"cat": cat, "name": name})
-        lines.append(f"{prefix}_span_seconds_total{ls} {agg['us'] / 1e6:.6f}")
-    lines += [
-        f"# HELP {prefix}_span_cycles_total Simulation cycles covered by spans.",
-        f"# TYPE {prefix}_span_cycles_total counter",
-    ]
-    for (cat, name), agg in sorted(span_totals.items()):
-        ls = labelset({"cat": cat, "name": name})
-        lines.append(f"{prefix}_span_cycles_total{ls} {agg['cycles']}")
-    return "\n".join(lines) + "\n"
-
-
-def write_prometheus(observer, path: str | Path, prefix: str = "repro",
-                     labels: dict | None = None) -> Path:
-    path = Path(path)
-    path.write_text(prometheus_text(observer, prefix=prefix, labels=labels),
-                    encoding="utf-8")
-    return path

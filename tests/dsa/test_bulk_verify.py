@@ -117,7 +117,10 @@ def test_a_corrupted_element_fails_both_ways_alike(kernel, name, stream_dtype, a
         (1.0, 1.0 + 2**-23, True),     # within 1e-6 relative
         (1.0, 1.0 + 2**-18, False),    # ~3.8e-6 relative
         (np.inf, np.inf, True),
-        (np.inf, 1.0, True),           # |inf - 1| <= 1e-6 * inf
+        (np.inf, 1.0, False),          # an infinity matches only itself
+        (1.0, np.inf, False),
+        (-np.inf, 5.0, False),
+        (np.inf, -np.inf, False),
         (0.0, -0.0, True),
     ],
 )

@@ -1,5 +1,7 @@
 """Unit and property tests for the 128-bit lane math."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,3 +167,59 @@ class TestLaneAccess:
         img = lanes.zero_register()
         out = lanes.lane_set(img, 0, 5, DType.I8)
         assert img[0] == 0 and out[0] == 5
+
+
+class TestNoFloatingPointTraps:
+    """Lane math never raises, whatever the caller's numpy error state:
+    integer lanes wrap (numpy integer arrays set no FP flags) and float
+    lanes overflow to inf or produce NaN silently, as the hardware does."""
+
+    ALL_INT_DTYPES = [*INT_DTYPES, DType.I64, DType.U64]
+    ARITH = [VBinKind.VADD, VBinKind.VSUB, VBinKind.VMUL, VBinKind.VMIN, VBinKind.VMAX]
+
+    @staticmethod
+    def extremes(dtype):
+        lo, hi = dtype.min_value(), dtype.max_value()
+        pattern = [hi, lo, hi - 1, lo + 1, -1 if lo else 1, 0, 2, hi // 2]
+        return (pattern * dtype.lanes)[: dtype.lanes]
+
+    @pytest.fixture(autouse=True)
+    def strict(self):
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("dtype", ALL_INT_DTYPES)
+    def test_integer_ops_wrap_at_overflow(self, dtype):
+        xs = self.extremes(dtype)
+        ys = xs[::-1]
+        # built directly: numpy reads a list mixing u64 values past int64 as float64
+        a, b = (np.array(v, dtype.numpy).view(np.uint8) for v in (xs, ys))
+
+        def check(image, expected):
+            assert lanes.view(image, dtype).tolist() == [dtype.wrap(v) for v in expected]
+
+        check(lanes.binop(VBinKind.VADD, a, b, dtype), [x + y for x, y in zip(xs, ys)])
+        check(lanes.binop(VBinKind.VSUB, a, b, dtype), [x - y for x, y in zip(xs, ys)])
+        check(lanes.binop(VBinKind.VMUL, a, b, dtype), [x * y for x, y in zip(xs, ys)])
+        check(lanes.binop(VBinKind.VMIN, a, b, dtype), [min(x, y) for x, y in zip(xs, ys)])
+        check(lanes.binop(VBinKind.VMAX, a, b, dtype), [max(x, y) for x, y in zip(xs, ys)])
+        check(lanes.mla(a, a, b, dtype), [x + x * y for x, y in zip(xs, ys)])
+        check(lanes.unary(VUnaryKind.VABS, a, dtype), [abs(x) for x in xs])
+        check(lanes.unary(VUnaryKind.VNEG, a, dtype), [-x for x in xs])
+        for amount in (1, dtype.bits - 1):
+            check(lanes.shift(True, a, amount, dtype), [x << amount for x in xs])
+            check(lanes.shift(False, a, amount, dtype), [x >> amount for x in xs])
+
+    def test_float_ops_are_silent_on_overflow_and_nan(self):
+        big = float(np.finfo(np.float32).max)
+        a = lanes.from_lanes([big, -big, np.inf, np.nan], DType.F32)
+        b = lanes.from_lanes([big, big, np.inf, 1.0], DType.F32)
+        for kind in self.ARITH:
+            lanes.binop(kind, a, b, DType.F32)
+        assert lanes.view(lanes.binop(VBinKind.VADD, a, b, DType.F32), DType.F32)[0] == np.inf
+        assert np.isnan(lanes.view(lanes.binop(VBinKind.VSUB, b, a, DType.F32), DType.F32)[2])
+        assert lanes.view(lanes.mla(a, a, b, DType.F32), DType.F32)[0] == np.inf
+        for kind in (VUnaryKind.VABS, VUnaryKind.VNEG):
+            out = lanes.view(lanes.unary(kind, a, DType.F32), DType.F32)
+            assert np.isnan(out[3])

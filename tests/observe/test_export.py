@@ -1,4 +1,4 @@
-"""Exporters: JSONL round-trip, Chrome trace validity, Prometheus syntax."""
+"""Exporters: JSONL round-trip, Chrome trace validity."""
 
 import json
 
@@ -10,11 +10,9 @@ from repro.observe import (
     check_chrome_trace,
     chrome_trace,
     jsonl_records,
-    prometheus_text,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
-    write_prometheus,
 )
 
 
@@ -78,22 +76,3 @@ class TestChromeTrace:
         bad = {"traceEvents": [{"ph": "X", "name": "x", "pid": 1, "ts": 0.0}]}
         assert any("dur" in p for p in check_chrome_trace(bad))
 
-
-class TestPrometheus:
-    def test_exposition_format(self, populated):
-        text = prometheus_text(populated)
-        assert "# TYPE repro_events_total counter" in text
-        assert 'repro_events_total{kind="loop_detected"} 1' in text
-        assert 'repro_span_seconds_total{cat="cpu",name="core.run"}' in text
-        assert text.endswith("\n")
-
-    def test_labels_merged_and_escaped(self, populated):
-        text = prometheus_text(
-            populated, labels={"workload": 'we"ird', "system": "neon_dsa"}
-        )
-        assert 'system="neon_dsa"' in text
-        assert 'workload="we\\"ird"' in text
-
-    def test_written_file(self, populated, tmp_path):
-        path = write_prometheus(populated, tmp_path / "run.prom")
-        assert "repro_events_total" in path.read_text()

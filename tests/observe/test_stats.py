@@ -92,17 +92,15 @@ class TestTraceCLI:
     def test_trace_writes_valid_chrome_json(self, tmp_path, capsys):
         out = tmp_path / "run.trace.json"
         jsonl = tmp_path / "run.jsonl"
-        prom = tmp_path / "run.prom"
         assert main([
             "trace", "micro:count", "neon_dsa",
-            "-o", str(out), "--jsonl", str(jsonl), "--prom", str(prom),
+            "-o", str(out), "--jsonl", str(jsonl),
         ]) == 0
         payload = json.loads(out.read_text())
         assert check_chrome_trace(payload) == []
         names = {e["name"] for e in payload["traceEvents"]}
         assert {"loop_detected", "spec_commit", "core.run"} <= names
         assert jsonl.read_text().strip()
-        assert "repro_events_total" in prom.read_text()
         assert "spec_commit" in capsys.readouterr().out
 
     def test_trace_unknown_workload_is_config_error(self, capsys):

@@ -1,5 +1,7 @@
 """Tests for the comparison reports and the CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -101,13 +103,11 @@ class TestCampaignCommand:
         assert "rgb_gray" in out and "arm_original" in out
 
     def test_campaign_json_schema(self, capsys):
-        import json as _json
-
         code = main(
             ["campaign", "--workloads", "rgb_gray", "--systems", "arm_original", "--json"]
         )
         assert code == 0
-        payload = _json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"campaign", "runs", "results", "failures"}
         (run,) = payload["runs"]
         assert {"spec", "source", "cache_hit", "wall_time_s", "cycles",
@@ -116,15 +116,55 @@ class TestCampaignCommand:
 
     def test_campaign_second_invocation_hits_cache(self, capsys):
         argv = ["campaign", "--workloads", "rgb_gray", "--systems", "arm_original", "--json"]
-        import json as _json
-
         main(argv)
-        first = _json.loads(capsys.readouterr().out)
+        first = json.loads(capsys.readouterr().out)
         main(argv)
-        second = _json.loads(capsys.readouterr().out)
+        second = json.loads(capsys.readouterr().out)
         assert first["runs"][0]["cache_hit"] is False
         assert second["runs"][0]["cache_hit"] is True
         assert second["results"] == first["results"]
+
+
+class TestReportCommand:
+    CAMPAIGN = ["campaign", "--workloads", "rgb_gray", "--systems", "arm_original", "--json"]
+
+    def test_renders_campaign_record(self, tmp_path, capsys):
+        assert main(self.CAMPAIGN) == 0
+        record = tmp_path / "campaign.json"
+        record.write_text(capsys.readouterr().out)
+        (run,) = json.loads(record.read_text())["runs"]
+        assert main(["report", str(record)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == [
+            "workload", "system", "stage", "cycles", "source", "wall_s", "host_s", "mips",
+        ]
+        spec = run["spec"]
+        assert lines[1].split()[:5] == [
+            "rgb_gray", "arm_original", spec["dsa_stage"], str(run["cycles"]), "computed",
+        ]
+        assert lines[-1].startswith("1 runs: 0 from cache, 1 computed in ")
+
+    def test_rejects_garbage(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text('{"something": "else"}')
+        assert main(["report", str(path)]) == 2
+        assert "is not a campaign record" in capsys.readouterr().err
+
+    def test_rejects_non_object(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text("5")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_file(self, capsys):
+        assert main(["report", "/no/such/record.json"]) == 2
+        assert "no such record" in capsys.readouterr().err
+
+    def test_retired_bench_verb_is_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestRunSystemContract:
