@@ -257,14 +257,8 @@ class Core:
                 for r in sorted(instr.regs_written(), key=lambda r: r.index)
             )
         record = TraceRecord(
-            seq=self.seq,
-            pc=pc,
-            instr=instr,
-            next_pc=next_pc,
-            accesses=tuple(accesses),
-            branch_taken=branch_taken,
-            reg_reads=reg_reads,
-            reg_writes=reg_writes,
+            self.seq, pc, instr, next_pc, tuple(accesses), branch_taken,
+            reg_reads, reg_writes,
         )
 
         suppressed = bool(self.timing_suppressor and self.timing_suppressor(record))
@@ -518,14 +512,19 @@ class Core:
             if idx < 0 or idx > n or pc != base + (idx << 2):
                 raise ExecutionError(f"address 0x{pc:x} is not inside the text segment")
             op = ops[idx]  # ops[n] is the sentinel: raises the same error
+            # one- and two-register reads/writes cover nearly every op; an
+            # explicit tuple costs a fraction of a generator per record
             ridx = op.read_idx
             if not ridx:
                 reg_reads = ()
             elif len(ridx) == 1:
                 i = ridx[0]
                 reg_reads = ((i, regs[i]),)
+            elif len(ridx) == 2:
+                i, j = ridx
+                reg_reads = ((i, regs[i]), (j, regs[j]))
             else:
-                reg_reads = tuple((i, regs[i]) for i in ridx)
+                reg_reads = tuple([(i, regs[i]) for i in ridx])
             result = op.execute(self)
             if result is None:
                 next_pc = pc + INSTRUCTION_BYTES
@@ -541,17 +540,14 @@ class Core:
             elif len(widx) == 1:
                 i = widx[0]
                 reg_writes = ((i, regs[i]),)
+            elif len(widx) == 2:
+                i, j = widx
+                reg_writes = ((i, regs[i]), (j, regs[j]))
             else:
-                reg_writes = tuple((i, regs[i]) for i in widx)
+                reg_writes = tuple([(i, regs[i]) for i in widx])
             record = TraceRecord(
-                seq=self.seq,
-                pc=pc,
-                instr=op.instr,
-                next_pc=next_pc,
-                accesses=accesses,
-                branch_taken=branch_taken,
-                reg_reads=reg_reads,
-                reg_writes=reg_writes,
+                self.seq, pc, op.instr, next_pc, accesses, branch_taken,
+                reg_reads, reg_writes,
             )
             suppressor = self.timing_suppressor
             if suppressor is not None and suppressor(record):

@@ -5,6 +5,12 @@ in the trace-driven model every retired instruction is delivered to the DSA
 as a :class:`TraceRecord` carrying exactly what the hardware would see: the
 PC, the decoded instruction, effective memory addresses, branch outcome, and
 the values read from the register file.
+
+Records are read-only by contract: nothing assigns to a field once a
+record is built.  They are not frozen dataclasses because a frozen
+``__init__`` sets each field through ``object.__setattr__``, which makes
+every record several times dearer to build; the interpreter loops build
+one per traced instruction, positionally, in the field order below.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 from ..isa.instructions import Instruction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MemAccess:
     """One data-memory access performed by an instruction."""
 
@@ -23,9 +29,14 @@ class MemAccess:
     is_write: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One retired instruction."""
+    """One retired instruction (read-only by contract; see the module doc).
+
+    The field order is part of the interface: ``Core.step``,
+    ``Core._traced_loop`` and the traced compiled blocks all build
+    records positionally.
+    """
 
     seq: int
     pc: int

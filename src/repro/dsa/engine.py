@@ -243,12 +243,15 @@ class DynamicSIMDAssembler:
         #: context insert/remove so ``on_record`` does not allocate a list
         #: per retired instruction (same snapshot-at-loop-start semantics)
         self._ctx_snapshot: tuple[_LoopContext, ...] = ()
-        #: (lo, hi) pc range in which a non-branch, non-memory record is a
-        #: guaranteed no-op for *every* live context; None disables the
-        #: fast path.  See ``_refresh_passive_window``.
+        #: (lo, hi) pc range in which a non-branch record can change no
+        #: context's state and starts no loop; None disables the fast
+        #: path.  See ``_refresh_passive_window``.
         self._passive_window: tuple[int, int] | None = None
+        #: contexts an in-window record must be observed by, while one of
+        #: them appends every record; empty otherwise
+        self._busy_ctxs: tuple[_LoopContext, ...] = ()
         #: contexts that sample memory streams (EXECUTE state) — the only
-        #: ones a passive-window memory record can reach
+        #: ones an in-window memory record reaches when none is busy
         self._sampling_ctxs: tuple[_LoopContext, ...] = ()
         #: covered execution: static region analysis cached per
         #: (loop_id, end_pc); None records a region that can never cover
@@ -563,19 +566,22 @@ class DynamicSIMDAssembler:
     def on_record(self, record: TraceRecord) -> None:
         self.stats.records_observed += 1
 
-        # Passive-window fast path.  A record with no branch outcome whose
-        # pc lies inside the window cannot change any context's shape (no
-        # call tracking, no window append, no boundary, no finalize) and
-        # cannot start a loop.  Without accesses it is a complete no-op;
-        # with accesses only EXECUTE-state contexts react, and only by
-        # sampling the stream (which never moves states, bounds, or the
-        # context set, so the window stays valid without a refresh).
+        # In-window fast path.  A record with no branch outcome whose pc
+        # lies inside the window cannot change any context's shape (no
+        # call tracking, no boundary, no finalize) and cannot start a
+        # loop, so the context set, every state and the window stay as
+        # they are.  SCALAR contexts ignore it; it goes only to the
+        # contexts that keep per-record bookkeeping, in the order the
+        # slow path would observe them.
         if record.branch_taken is None:
             w = self._passive_window
             if w is not None and w[0] <= record.pc < w[1]:
-                if not record.accesses:
-                    return
-                if isinstance(record.instr, Mem):
+                busy = self._busy_ctxs
+                if busy:
+                    observe = self._observe
+                    for ctx in busy:
+                        observe(ctx, record)
+                elif record.accesses and isinstance(record.instr, Mem):
                     for ctx in self._sampling_ctxs:
                         self._sample_stream(ctx, record)
                 return
@@ -591,39 +597,47 @@ class DynamicSIMDAssembler:
         ):
             self._loop_detected(record)
 
+    def _set_state(self, ctx: _LoopContext, state: _State) -> None:
+        """Every state transition goes through here: it moves the window."""
+        ctx.state = state
+        self._refresh_passive_window()
+
+    def _contexts_changed(self) -> None:
+        """Call after every insert into or removal from ``contexts``."""
+        self._ctx_snapshot = tuple(self.contexts.values())
         self._refresh_passive_window()
 
     def _refresh_passive_window(self) -> None:
-        """Recompute the no-op pc window after any slow-path record.
+        """Recompute the in-window fast path after a context or state change.
 
-        The window is valid only while every live context is in a state
-        with no per-record bookkeeping for plain in-range records (EXECUTE
-        samples memory only; SCALAR tracks nothing).  COLLECT/ANALYZE/
-        MAP_ANALYZE append every in-range record to the iteration window
-        and COND_EXECUTE appends to the path signature, so any such
-        context disables the fast path entirely.  The bounds intersect all
-        context ranges and stay strictly below every ``end_pc`` so
-        iteration boundaries always take the slow path.
+        The window intersects every live context's range and stays
+        strictly below every ``end_pc``, so iteration boundaries and
+        records outside any context's range take the slow path.  Inside
+        it, a non-branch record is a no-op for a SCALAR context; an
+        EXECUTE context only samples memory; COLLECT/ANALYZE/MAP_ANALYZE
+        append it to the iteration window and COND_EXECUTE to the path
+        signature.  While one of those four is live, ``_busy_ctxs`` holds
+        every non-SCALAR context in snapshot order and each gets the full
+        ``_observe``; otherwise it is empty and only memory records reach
+        the EXECUTE contexts in ``_sampling_ctxs``.
         """
         lo = 0
         hi: int | None = None
+        busy: list[_LoopContext] = []
         sampling: list[_LoopContext] = []
         for ctx in self._ctx_snapshot:
             state = ctx.state
             if state is _State.EXECUTE:
                 sampling.append(ctx)
-            elif state is not _State.SCALAR:
-                self._passive_window = None
-                return
+            if state is not _State.SCALAR:
+                busy.append(ctx)
             if ctx.loop_id > lo:
                 lo = ctx.loop_id
             if hi is None or ctx.end_pc < hi:
                 hi = ctx.end_pc
-        if hi is not None and lo < hi:
-            self._passive_window = (lo, hi)
-            self._sampling_ctxs = tuple(sampling)
-        else:
-            self._passive_window = None
+        self._passive_window = (lo, hi) if hi is not None and lo < hi else None
+        self._busy_ctxs = tuple(busy) if len(busy) > len(sampling) else ()
+        self._sampling_ctxs = tuple(sampling)
 
     # ------------------------------------------------------------------
     def _loop_detected(self, record: TraceRecord) -> None:
@@ -655,7 +669,7 @@ class DynamicSIMDAssembler:
             return
         ctx = _LoopContext(loop_id, end_pc)
         self.contexts[loop_id] = ctx
-        self._ctx_snapshot = tuple(self.contexts.values())
+        self._contexts_changed()
         self.stats.analyses_started += 1
         self.stats.stage_activations["data_collection"] += 1
 
@@ -691,25 +705,30 @@ class DynamicSIMDAssembler:
             # (re-entry): nothing to observe on this record
             return
 
-        # continuous stream sampling (loops left alone need no bookkeeping)
-        if ctx.state is not _State.SCALAR and record.accesses and isinstance(record.instr, Mem):
+        # continuous stream sampling (loops left alone need no bookkeeping);
+        # sampling never moves the state, so one read serves the record
+        state = ctx.state
+        if state is not _State.SCALAR and record.accesses and isinstance(record.instr, Mem):
             self._sample_stream(ctx, record)
 
-        if ctx.state in (_State.COLLECT, _State.ANALYZE, _State.MAP_ANALYZE):
+        if state in _MATURING:
             ctx.window.append(record)
-        elif ctx.state is _State.COND_EXECUTE:
+        elif state is _State.COND_EXECUTE:
             ctx.current_path.append(pc)
 
         # iteration boundary: the backward branch at the loop's end
-        if pc == ctx.end_pc and record.branch_taken and record.next_pc == ctx.loop_id:
+        if pc != ctx.end_pc:
+            return
+        taken = record.branch_taken
+        if taken and record.next_pc == ctx.loop_id:
             self._iteration_boundary(ctx, record)
-        elif pc == ctx.end_pc and record.branch_taken is False:
+        elif taken is False:
             # fall-through exit: close the final iteration (the next record
             # lies outside the loop and triggers finalization)
             ctx.iteration += 1
-            if ctx.state is _State.EXECUTE and ctx.suppress_active:
+            if state is _State.EXECUTE and ctx.suppress_active:
                 ctx.covered += 1
-            elif ctx.state is _State.COND_EXECUTE and ctx.suppress_active and ctx.entry:
+            elif state is _State.COND_EXECUTE and ctx.suppress_active and ctx.entry:
                 sig = tuple(ctx.current_path)
                 ctx.current_path = []
                 if sig in ctx.entry.path_templates:
@@ -723,7 +742,7 @@ class DynamicSIMDAssembler:
         access = record.accesses[0]
         stream = ctx.streams.get(record.pc)
         if stream is None:
-            if ctx.state not in (_State.COLLECT, _State.ANALYZE, _State.MAP_ANALYZE):
+            if ctx.state not in _MATURING:
                 # a new access pattern mid-execution: unknown path
                 ctx.pending_abort_reason = "unknown path during execution"
                 return
@@ -771,7 +790,7 @@ class DynamicSIMDAssembler:
             ctx.path_windows.setdefault(tuple(r.pc for r in window), []).append((ctx.iteration, window))
             if self._try_fast_resume(ctx, window):
                 return
-            ctx.state = _State.ANALYZE
+            self._set_state(ctx, _State.ANALYZE)
             self.stats.stage_activations["dependency_analysis"] += 1
         elif ctx.state is _State.ANALYZE:
             self.stats.detection_cycles += len(window)
@@ -882,7 +901,7 @@ class DynamicSIMDAssembler:
         if verdict.dependent:
             chunk = safe_chunk(verdict, template.lanes) if self.config.features.partial else None
             if chunk is None:
-                ctx.state = _State.SCALAR
+                self._set_state(ctx, _State.SCALAR)
                 return True
             kind = LoopKind.PARTIAL
         elif kind is LoopKind.PARTIAL:
@@ -908,19 +927,19 @@ class DynamicSIMDAssembler:
         feats = self._loop_shape(ctx)
         if ctx.has_inner:
             self._cache_verdict(ctx, LoopKind.NESTED_OUTER, False, "contains inner loop")
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
         if ctx.vcache_overflow:
             self._cache_verdict(ctx, LoopKind.NON_VECTORIZABLE, False, "verification cache overflow")
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
 
         if feats["conditional"]:
             if not (self.config.features.conditional and (not ctx.has_call or self.config.features.function)):
                 self._cache_verdict(ctx, LoopKind.CONDITIONAL, False, "conditional loops disabled")
-                ctx.state = _State.SCALAR
+                self._set_state(ctx, _State.SCALAR)
                 return
-            ctx.state = _State.MAP_ANALYZE
+            self._set_state(ctx, _State.MAP_ANALYZE)
             self.stats.stage_activations["mapping"] += 1
             self._try_conditional_verdict(ctx, record)
             return
@@ -1037,7 +1056,7 @@ class DynamicSIMDAssembler:
         info = self._find_bound(ctx, window)
         if info is None:
             self._cache_verdict(ctx, LoopKind.NON_VECTORIZABLE, False, "no recognizable loop bound")
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
 
         kind = LoopKind.COUNT
@@ -1053,14 +1072,14 @@ class DynamicSIMDAssembler:
         }[kind]
         if not gate:
             self._cache_verdict(ctx, kind, False, f"{kind.value} loops disabled", info=info)
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
 
         try:
             template = self._build_template(window, ctx.streams)
         except TemplateReject as exc:
             self._cache_verdict(ctx, LoopKind.NON_VECTORIZABLE, False, str(exc), info=info)
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
 
         remaining = self._remaining_iterations(info)
@@ -1078,7 +1097,7 @@ class DynamicSIMDAssembler:
                 self._cache_verdict(
                     ctx, LoopKind.NON_VECTORIZABLE, False, "cross-iteration dependency", info=info
                 )
-                ctx.state = _State.SCALAR
+                self._set_state(ctx, _State.SCALAR)
                 return
             kind = LoopKind.PARTIAL
 
@@ -1118,7 +1137,7 @@ class DynamicSIMDAssembler:
     def _analyze_sentinel(self, ctx: _LoopContext, record: TraceRecord) -> None:
         if not self.config.features.sentinel:
             self._cache_verdict(ctx, LoopKind.SENTINEL, False, "sentinel loops disabled")
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
         window = ctx.path_windows[next(iter(ctx.path_windows))][-1][1]
         # the exit branch: first conditional branch leaving the loop range
@@ -1135,13 +1154,13 @@ class DynamicSIMDAssembler:
                 break
         if exit_pc is None:
             self._cache_verdict(ctx, LoopKind.NON_VECTORIZABLE, False, "sentinel without exit branch")
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
         try:
             template = self._build_template(window, ctx.streams)
         except TemplateReject as exc:
             self._cache_verdict(ctx, LoopKind.SENTINEL, False, str(exc))
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
 
         # the speculative range fills the vector unit on the first run and
@@ -1153,7 +1172,7 @@ class DynamicSIMDAssembler:
         verdict = predict_cid(list(ctx.streams.values()), ctx.iteration + spec_range)
         if verdict.dependent:
             self._cache_verdict(ctx, LoopKind.SENTINEL, False, "cross-iteration dependency")
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
 
         # the stop-condition computation keeps running on the scalar core
@@ -1198,7 +1217,7 @@ class DynamicSIMDAssembler:
                 # paths never complete (e.g. data-dependent rare branch);
                 # give up for this invocation
                 self.stats.analyses_aborted += 1
-                ctx.state = _State.SCALAR
+                self._set_state(ctx, _State.SCALAR)
             return
         # a path needs a second sighting only when its own (non-shared)
         # instructions touch memory — stride verification needs two
@@ -1223,7 +1242,7 @@ class DynamicSIMDAssembler:
         info = self._find_bound(ctx, ctx.last_window)
         if info is None:
             self._cache_verdict(ctx, LoopKind.CONDITIONAL, False, "no recognizable loop bound")
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
         remaining = self._remaining_iterations(info)
         last_iteration = ctx.iteration + remaining
@@ -1241,7 +1260,7 @@ class DynamicSIMDAssembler:
                     template = None
                 else:
                     self._cache_verdict(ctx, LoopKind.CONDITIONAL, False, str(exc), info=info)
-                    ctx.state = _State.SCALAR
+                    self._set_state(ctx, _State.SCALAR)
                     return
             # conservative: check the condition's streams against every
             # stream the verification cache observed (cross-path aliasing)
@@ -1250,7 +1269,7 @@ class DynamicSIMDAssembler:
                 self._cache_verdict(
                     ctx, LoopKind.CONDITIONAL, False, "cross-iteration dependency", info=info
                 )
-                ctx.state = _State.SCALAR
+                self._set_state(ctx, _State.SCALAR)
                 return
             path_templates[sig] = template
             if template is not None:
@@ -1259,14 +1278,14 @@ class DynamicSIMDAssembler:
 
         if all(t is None for t in path_templates.values()):
             self._cache_verdict(ctx, LoopKind.CONDITIONAL, False, "no vectorizable condition", info=info)
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
 
         if not self.array_maps.can_allocate(result_regs):
             self._cache_verdict(
                 ctx, LoopKind.CONDITIONAL, False, "insufficient array maps", info=info
             )
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
 
         entry = CacheEntry(
@@ -1309,10 +1328,10 @@ class DynamicSIMDAssembler:
         template = entry.template
         assert template is not None
         if remaining < max(self.config.min_vector_iterations, template.lanes):
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
         ctx.entry = entry
-        ctx.state = _State.EXECUTE
+        self._set_state(ctx, _State.EXECUTE)
         if self.observer is not None:
             self.observer.emit(
                 EventKind.SPEC_START, cycle=self._obs_cycle(),
@@ -1378,10 +1397,10 @@ class DynamicSIMDAssembler:
     def _begin_conditional_execution(self, ctx: _LoopContext, entry: CacheEntry, remaining: int) -> None:
         lanes = next(t.lanes for t in entry.path_templates.values() if t is not None)
         if remaining < max(self.config.min_vector_iterations, lanes):
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
         ctx.entry = entry
-        ctx.state = _State.COND_EXECUTE
+        self._set_state(ctx, _State.COND_EXECUTE)
         if self.observer is not None:
             self.observer.emit(
                 EventKind.SPEC_START, cycle=self._obs_cycle(),
@@ -1454,15 +1473,15 @@ class DynamicSIMDAssembler:
         """
         ctx = _LoopContext(loop_id, end_pc)
         self.contexts[loop_id] = ctx
-        self._ctx_snapshot = tuple(self.contexts.values())
+        self._contexts_changed()
         ctx.entry = entry
         if not entry.vectorizable and not entry.must_reverify:
             # a definitively non-vectorizable loop stays scalar; verdicts
             # that depend on runtime values (dynamic ranges, conditional
             # loops with register bounds) are re-checked per invocation
-            ctx.state = _State.SCALAR
+            self._set_state(ctx, _State.SCALAR)
             return
-        ctx.state = _State.COLLECT
+        self._set_state(ctx, _State.COLLECT)
 
     # ------------------------------------------------------------------
     def _abort_execution(self, ctx: _LoopContext) -> None:
@@ -1482,7 +1501,7 @@ class DynamicSIMDAssembler:
                 covered=ctx.covered,
             )
         ctx.suppress_active = False
-        ctx.state = _State.SCALAR
+        self._set_state(ctx, _State.SCALAR)
         ctx.covered = 0
         ctx.path_map = []
         self._rebuild_suppression()
@@ -1503,7 +1522,7 @@ class DynamicSIMDAssembler:
             self.array_maps.release_all()
             self.vcache.reset()
             self.contexts.pop(ctx.loop_id, None)
-            self._ctx_snapshot = tuple(self.contexts.values())
+            self._contexts_changed()
             self._rebuild_suppression()
             self._note_rearm(ctx, "control left the region")
 

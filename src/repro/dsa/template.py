@@ -275,24 +275,36 @@ class LoopTemplate:
                 values[j] = memory_snapshot.read_value(int(addr), stream.dtype)
             return values.astype(np_dtype)
 
-        def eval_node(node_id: int) -> np.ndarray:
-            if node_id in cache:
-                return cache[node_id]
-            node = self.nodes[node_id]
-            if node.kind == "load":
-                out = gather(self.streams[node.stream_pc])
-            elif node.kind == "const":
-                out = np.full(len(iterations), node.value, dtype=np_dtype)
-            elif node.kind == "invariant":
-                raw = invariant_values[node.reg or 0]
-                value = bits_to_float(raw) if self.dtype.is_float else to_s32(raw)
-                out = np.full(len(iterations), value, dtype=np_dtype)
-            else:
-                out = self._eval_op(node, [eval_node(i) for i in node.operands])
-            cache[node_id] = out
-            return out
-
-        return {root.stream_pc: eval_node(root.node) for root in self.stores}
+        # Post-order walk on an explicit stack, evaluating operands in the
+        # order a recursive walk would.  A recursive closure would be a
+        # reference cycle, keeping the snapshot, the streams and every
+        # result array alive until the cyclic collector runs.
+        nodes = self.nodes
+        for root in self.stores:
+            stack = [root.node]
+            while stack:
+                node_id = stack[-1]
+                if node_id in cache:
+                    stack.pop()
+                    continue
+                node = nodes[node_id]
+                if node.kind == "load":
+                    out = gather(self.streams[node.stream_pc])
+                elif node.kind == "const":
+                    out = np.full(len(iterations), node.value, dtype=np_dtype)
+                elif node.kind == "invariant":
+                    raw = invariant_values[node.reg or 0]
+                    value = bits_to_float(raw) if self.dtype.is_float else to_s32(raw)
+                    out = np.full(len(iterations), value, dtype=np_dtype)
+                else:
+                    pending = [i for i in node.operands if i not in cache]
+                    if pending:
+                        stack.extend(reversed(pending))
+                        continue
+                    out = self._eval_op(node, [cache[i] for i in node.operands])
+                cache[node_id] = out
+                stack.pop()
+        return {root.stream_pc: cache[root.node] for root in self.stores}
 
     def _eval_op(self, node: TNode, srcs: list[np.ndarray]) -> np.ndarray:
         np_dtype = self.dtype.numpy
@@ -458,17 +470,15 @@ def build_template(
 
     # reachability: keep only nodes feeding stores; reject carried leaves
     # and unsupported ops on the live paths
+    # (a pre-order walk on an explicit stack: a recursive closure would be
+    # a reference cycle holding the window until the cyclic collector runs)
     live: set[int] = set()
-
-    def mark(node_id: int) -> None:
-        if node_id in live:
-            return
-        live.add(node_id)
-        for op in nodes[node_id].operands:
-            mark(op)
-
-    for root in store_roots:
-        mark(root.node)
+    stack = [root.node for root in reversed(store_roots)]
+    while stack:
+        node_id = stack.pop()
+        if node_id not in live:
+            live.add(node_id)
+            stack.extend(reversed(nodes[node_id].operands))
 
     for node_id in live:
         node = nodes[node_id]

@@ -36,16 +36,22 @@ def from_lanes(values, dtype: DType, lanes: int | None = None) -> np.ndarray:
     callers pass ``backend.lanes_for(dtype)``.
     """
     expected = dtype.lanes if lanes is None else lanes
-    arr = np.asarray(values)
+    if dtype.is_float:
+        arr = np.array(values, dtype=dtype.numpy)
+    else:
+        # wrapped lane by lane in Python and built in the target dtype:
+        # np.asarray reads a list mixing u64 values past 2**63 with
+        # smaller ones as float64, which loses low bits
+        arr = np.array([dtype.wrap(v) for v in values], dtype=dtype.numpy)
     if arr.size != expected:
         raise ValueError(f"{dtype} needs {expected} lanes, got {arr.size}")
-    return arr.astype(dtype.numpy).view(np.uint8).copy()
+    return arr.view(np.uint8)
 
 
 def broadcast(value: int | float, dtype: DType, lanes: int | None = None) -> np.ndarray:
     """Register image with ``value`` in every lane (vdup semantics)."""
     n = dtype.lanes if lanes is None else lanes
-    return from_lanes([dtype.wrap(value)] * n, dtype, lanes=n)
+    return np.full(n, dtype.wrap(value), dtype=dtype.numpy).view(np.uint8)
 
 
 def _arith(kind: VBinKind, va: np.ndarray, vb: np.ndarray) -> np.ndarray:

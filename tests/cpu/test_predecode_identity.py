@@ -9,6 +9,7 @@ it; the committed golden snapshot additionally pins the predecoded results
 so both paths cannot silently drift together.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 
 from repro.cpu import Core
 from repro.cpu.config import CPUConfig
+from repro.cpu.trace import TraceRecord
 from repro.errors import ExecutionError
 from repro.isa import assemble
 from repro.memory import MainMemory
@@ -152,6 +154,80 @@ class TestTraceStreamIdentity:
             assert a.reg_reads == b.reg_reads
             assert a.reg_writes == b.reg_writes
             assert a.instr is b.instr  # the very same Program object
+
+    # Every record constructor: legacy step(), the predecoded traced loop
+    # and the traced compiled blocks.  The hot loop retires records with
+    # zero to three register reads and one or two writes (post-index
+    # load), so each explicit construction branch is compared.
+    HOT_LOOP = """
+            mov r0, #4096
+            mov r1, #16384
+            mov r2, #0
+            mov r5, #3
+        loop:
+            ldr r4, [r0], #4
+            mla r6, r4, r5, r2
+            add r7, r6, r4
+            str r7, [r1, r2, lsl #2]
+            add r2, r2, #1
+            cmp r2, #100
+            blt loop
+            halt
+    """
+    CONSTRUCTORS = {
+        "legacy": LEGACY,
+        "traced_loop": CPUConfig(predecode=True, compile_traced=False, hot_threshold=2),
+        "traced_blocks": CPUConfig(predecode=True, compile_traced=True, hot_threshold=2),
+    }
+
+    @staticmethod
+    def _assert_same_stream(streams: dict) -> None:
+        names = [f.name for f in dataclasses.fields(TraceRecord)]
+        reference = streams["legacy"]
+        for label, records in streams.items():
+            assert len(records) == len(reference), label
+            for a, b in zip(records, reference):
+                for name in names:
+                    if name == "instr":
+                        assert a.instr is b.instr, (label, b.seq)
+                    else:
+                        assert getattr(a, name) == getattr(b, name), (label, b.seq, name)
+
+    def _check_tiers(self, tiers: dict) -> None:
+        assert set(tiers["legacy"]) == {"legacy"}
+        assert set(tiers["traced_loop"]) == {"traced"}
+        assert tiers["traced_blocks"]["compiled"] > 0  # the blocks engaged
+
+    def test_hot_loop_stream_equal_across_constructors(self):
+        program = assemble(self.HOT_LOOP)
+        streams, tiers = {}, {}
+        for label, config in self.CONSTRUCTORS.items():
+            core = Core(program, MainMemory(1 << 16), config=config)
+            records = []
+            core.retire_hooks.append(records.append)
+            core.run()
+            streams[label], tiers[label] = records, dict(core.tier_counts)
+        shapes = {(len(r.reg_reads), len(r.reg_writes)) for r in streams["legacy"]}
+        assert {(1, 2), (2, 1), (3, 1), (3, 0)} <= shapes
+        self._check_tiers(tiers)
+        self._assert_same_stream(streams)
+
+    @pytest.mark.parametrize("system", ["arm_original", "neon_autovec"])
+    def test_workload_stream_equal_across_constructors(self, system):
+        workload = load("rgb_gray", "test")
+        lowered = lower_for(system, workload)
+        streams, tiers = {}, {}
+        for label, config in self.CONSTRUCTORS.items():
+            records = []
+            run = execute_kernel(
+                lowered,
+                workload.fresh_args(),
+                config=config,
+                attach=lambda core: core.retire_hooks.append(records.append),
+            )
+            streams[label], tiers[label] = records, dict(run.core.tier_counts)
+        self._check_tiers(tiers)
+        self._assert_same_stream(streams)
 
 
 def _run_one(source: str, config: CPUConfig, max_instructions: int):

@@ -281,3 +281,36 @@ class TestNumpyEvaluation:
         window, streams, _, _ = window_and_streams(VECSUM, vecsum_setup)
         t = build_template(window, streams)
         assert t.result_registers == 1
+
+
+class TestNoReferenceCycles:
+    """Template construction and evaluation leave no reference cycles: a
+    cycle would keep every verification's snapshot, streams and result
+    arrays alive until the cyclic collector runs, and so set peak RSS."""
+
+    def test_dsa_cell_leaves_no_verification_garbage(self):
+        import gc
+
+        from repro.dsa.template import LoopTemplate
+        from repro.systems.campaign import RunSpec, execute_spec
+
+        spec = RunSpec("matmul", "neon_dsa", "full", "test", None)
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = execute_spec(spec)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [
+                type(o).__name__
+                for o in gc.garbage
+                if isinstance(o, (RegionSnapshot, LoopTemplate, MemStream))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert result.dsa_stats.verifications > 0, "the cell must verify regions"
+        assert leaked == []

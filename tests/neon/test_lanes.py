@@ -193,8 +193,7 @@ class TestNoFloatingPointTraps:
     def test_integer_ops_wrap_at_overflow(self, dtype):
         xs = self.extremes(dtype)
         ys = xs[::-1]
-        # built directly: numpy reads a list mixing u64 values past int64 as float64
-        a, b = (np.array(v, dtype.numpy).view(np.uint8) for v in (xs, ys))
+        a, b = (lanes.from_lanes(v, dtype) for v in (xs, ys))
 
         def check(image, expected):
             assert lanes.view(image, dtype).tolist() == [dtype.wrap(v) for v in expected]
@@ -210,6 +209,23 @@ class TestNoFloatingPointTraps:
         for amount in (1, dtype.bits - 1):
             check(lanes.shift(True, a, amount, dtype), [x << amount for x in xs])
             check(lanes.shift(False, a, amount, dtype), [x >> amount for x in xs])
+
+    @pytest.mark.parametrize(
+        "dtype, values, lanes_out",
+        [
+            (DType.U64, [2**64 - 3, 1], [2**64 - 3, 1]),
+            (DType.U64, [2**63, 2**63 - 1], [2**63, 2**63 - 1]),
+            (DType.U64, [-1, 2**64], [2**64 - 1, 0]),  # wrapped to the type
+            (DType.I64, [-(2**63), 2**63 - 1], [-(2**63), 2**63 - 1]),
+            (DType.I64, [2**63, -(2**63) - 1], [-(2**63), 2**63 - 1]),
+            (DType.I64, [2**64 - 1, 1], [-1, 1]),
+        ],
+    )
+    def test_from_lanes_keeps_64_bit_extremes(self, dtype, values, lanes_out):
+        assert lanes.view(lanes.from_lanes(values, dtype), dtype).tolist() == lanes_out
+        wide = lanes.from_lanes(values * 2, dtype, lanes=4)  # a 256-bit register
+        assert lanes.view(wide, dtype).tolist() == lanes_out * 2
+        assert lanes.view(lanes.broadcast(values[0], dtype), dtype).tolist() == [lanes_out[0]] * 2
 
     def test_float_ops_are_silent_on_overflow_and_nan(self):
         big = float(np.finfo(np.float32).max)
