@@ -7,38 +7,36 @@ failure you can't explain:
     PYTHONPATH=src python tests/cpu/regen_golden_microkernels.py
 """
 
-import hashlib
-import json
+import sys
+from functools import partial
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))  # for tests.golden
 
 from repro.cpu.config import CPUConfig
 from repro.systems.campaign import RunSpec, execute_spec
 from repro.workloads.synthetic import LOOP_TYPE_MICROKERNELS
+from tests.golden import regenerate
 
 OUT = Path(__file__).with_name("golden_microkernels.json")
 
+NOTE = (
+    "Golden RunResult snapshot of every loop-type microkernel on "
+    "neon_dsa (seed=3, scale=test, predecode on). Regenerate ONLY on "
+    "an intentional architectural-model change: "
+    "PYTHONPATH=src python tests/cpu/regen_golden_microkernels.py"
+)
+
+
+def run(kind: str) -> dict:
+    spec = RunSpec(f"micro:{kind}", "neon_dsa", seed=3)
+    return execute_spec(spec, cpu_config=CPUConfig(predecode=True)).to_dict()
+
 
 def main() -> None:
-    golden = {
-        "_note": (
-            "Golden RunResult snapshot of every loop-type microkernel on "
-            "neon_dsa (seed=3, scale=test, predecode on). Regenerate ONLY on "
-            "an intentional architectural-model change: "
-            "PYTHONPATH=src python tests/cpu/regen_golden_microkernels.py"
-        ),
-    }
-    for kind in sorted(LOOP_TYPE_MICROKERNELS):
-        spec = RunSpec(f"micro:{kind}", "neon_dsa", seed=3)
-        d = execute_spec(spec, cpu_config=CPUConfig(predecode=True)).to_dict()
-        golden[f"micro:{kind}"] = {
-            "cycles": d["cycles"],
-            "instructions": d["instructions"],
-            "digest": hashlib.sha256(
-                json.dumps(d, sort_keys=True).encode()
-            ).hexdigest(),
-        }
-    OUT.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {OUT} ({len(golden) - 1} entries)")
+    regenerate(OUT, NOTE, {
+        f"micro:{kind}": partial(run, kind) for kind in sorted(LOOP_TYPE_MICROKERNELS)
+    })
 
 
 if __name__ == "__main__":

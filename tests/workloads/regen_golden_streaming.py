@@ -7,37 +7,32 @@ failure you can't explain:
     PYTHONPATH=src python tests/workloads/regen_golden_streaming.py
 """
 
-import hashlib
-import json
+import sys
+from functools import partial
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))  # for tests.golden
 
 from repro.systems.campaign import RunSpec, execute_spec
 from repro.workloads.streaming import STREAMING_WORKLOADS
+from tests.golden import regenerate
 
 OUT = Path(__file__).with_name("golden_streaming.json")
 
+NOTE = (
+    "Golden RunResult snapshot of every streaming workload on "
+    "neon_dsa (seed=3, scale=test). Pins both vector backends at "
+    "VL=128. Regenerate ONLY on an intentional architectural-model "
+    "change: PYTHONPATH=src python tests/workloads/regen_golden_streaming.py"
+)
+
+
+def run(name: str) -> dict:
+    return execute_spec(RunSpec(name, "neon_dsa", seed=3)).to_dict()
+
 
 def main() -> None:
-    golden = {
-        "_note": (
-            "Golden RunResult snapshot of every streaming workload on "
-            "neon_dsa (seed=3, scale=test). Pins both vector backends at "
-            "VL=128. Regenerate ONLY on an intentional architectural-model "
-            "change: PYTHONPATH=src python tests/workloads/regen_golden_streaming.py"
-        ),
-    }
-    for name in sorted(STREAMING_WORKLOADS):
-        spec = RunSpec(name, "neon_dsa", seed=3)
-        d = execute_spec(spec).to_dict()
-        golden[name] = {
-            "cycles": d["cycles"],
-            "instructions": d["instructions"],
-            "digest": hashlib.sha256(
-                json.dumps(d, sort_keys=True).encode()
-            ).hexdigest(),
-        }
-    OUT.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {OUT} ({len(golden) - 1} entries)")
+    regenerate(OUT, NOTE, {name: partial(run, name) for name in sorted(STREAMING_WORKLOADS)})
 
 
 if __name__ == "__main__":
