@@ -24,7 +24,7 @@ from repro.experiments import (
     table4_setup,
 )
 
-from conftest import emit
+from benchmarks.conftest import emit
 
 
 def test_table4_systems_setup(benchmark, scale, cache):

@@ -6,7 +6,8 @@ a Run-time and Energy Efficient DLP Detection" (Jordan, DATE 2019):
 * :mod:`repro.isa` — ARMv7-like scalar + NEON vector instruction set;
 * :mod:`repro.cpu` — functional core with a 2-wide timing model;
 * :mod:`repro.memory` — L1/L2/DRAM hierarchy;
-* :mod:`repro.neon` — the 128-bit NEON engine;
+* :mod:`repro.vector` — the vector engine at a configurable VL; the
+  128-bit NEON unit is that engine at VL=128 (:mod:`repro.neon`);
 * :mod:`repro.compiler` — loop-kernel IR + the two static vectorizer
   baselines (compiler auto-vectorization, hand-written NEON library code);
 * :mod:`repro.dsa` — the paper's contribution: runtime DLP detection;

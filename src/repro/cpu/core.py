@@ -137,15 +137,6 @@ class Core:
         #: call (retirements of the region's end branch, either direction)
         self._region_boundaries: int = 0
 
-    @property
-    def neon(self):
-        """Deprecated alias for :attr:`vector` (pre-backend-redesign name).
-
-        Kept so external scripts keep working; new code should use
-        ``core.vector``, which may be any :class:`repro.vector.VectorBackend`.
-        """
-        return self.vector
-
     # ------------------------------------------------------------------
     # register convenience (harness-facing)
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Element data types understood by the scalar core and the NEON engine.
+"""Element data types understood by the scalar core and the vector engine.
 
 The NEON engine is 128 bits wide; the number of lanes available for a SIMD
 operation therefore depends only on the element width (paper, Conceptual
@@ -14,9 +14,9 @@ i64 / u64    64    2
 f32          32    4
 =========  =====  =============
 
-The 128-bit width is a property of the NEON *backend*, not the ISA:
-the scalable backend widens its registers to VL/8 bytes and derives
-its lane counts from :meth:`repro.vector.VectorBackend.lanes_for`.
+The 128-bit width is a property of the ``neon`` backend, not the ISA:
+the vector engine at a wider VL widens its registers to VL/8 bytes and
+derives its lane counts from :meth:`repro.vector.ScalableEngine.lanes_for`.
 ``DType.lanes`` and the module constants below keep describing the
 fixed 128-bit NEON geometry for the static binaries.
 """

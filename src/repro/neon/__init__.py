@@ -1,6 +1,9 @@
-"""NEON engine model: lane math + functional execution of vector bursts."""
+"""NEON lane math; the NEON engine itself is ``repro.vector.get_backend("neon")``.
 
-from .engine import NeonEngine, NeonStats, VMemEvent
+``repro.neon.engine`` is not imported here: it subclasses the scalable
+engine, whose module imports :mod:`repro.neon.lanes` through this package.
+"""
+
 from . import lanes
 
-__all__ = ["NeonEngine", "NeonStats", "VMemEvent", "lanes"]
+__all__ = ["lanes"]

@@ -1,27 +1,23 @@
-"""Backend-neutral vector execution (ROADMAP item 3).
+"""The vector engine (ROADMAP item 3).
 
-The stable public surface of the vector layer:
+One engine, :class:`ScalableEngine`, executes every vector instruction at a
+configured vector length; the paper's NEON unit is that engine pinned at
+VL=128.  Build it by backend name:
 
 >>> from repro.vector import get_backend
 >>> be = get_backend("scalable", 256)
 >>> be.width_bytes, be.lanes_for(DType.S32)
 (32, 8)
 
-Everything above the engines (core dispatch, DSA template lowering, the
-energy model) goes through :class:`VectorBackend`; constructing
-:class:`repro.neon.NeonEngine` directly is deprecated in favour of
-``get_backend("neon")`` so call sites stay backend-agnostic.
+Everything above the engine (core dispatch, DSA template lowering, the
+energy model) asks it for ``width_bytes``, ``num_regs`` and
+``lanes_for(dtype)`` rather than assuming 128 bits.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigError
-from .backend import (
-    VALID_VECTOR_LENGTHS,
-    VectorBackend,
-    VectorStats,
-    VMemEvent,
-)
+from .backend import VALID_VECTOR_LENGTHS, VectorStats, VMemEvent
 from .scalable import ScalableEngine
 
 #: names accepted by :func:`get_backend`, CPUConfig.vector_backend,
@@ -29,13 +25,12 @@ from .scalable import ScalableEngine
 BACKEND_NAMES = ("neon", "scalable")
 
 
-def get_backend(name: str, vl: int = 128) -> VectorBackend:
-    """Construct a vector backend by name at vector length ``vl`` (bits).
+def get_backend(name: str, vl: int = 128) -> ScalableEngine:
+    """Construct the vector engine by backend name at vector length ``vl`` (bits).
 
     The single supported way to build an engine: ``get_backend("neon")``
-    for the paper's fixed 128-bit NEON unit (``vl`` must be 128), or
-    ``get_backend("scalable", vl)`` for the VLA engine at
-    ``vl`` ∈ {128, 256, 512, 1024}.
+    for the paper's 128-bit NEON unit (``vl`` must be 128), or
+    ``get_backend("scalable", vl)`` for ``vl`` ∈ {128, 256, 512, 1024}.
     """
     if name == "neon":
         if vl != 128:
@@ -43,7 +38,9 @@ def get_backend(name: str, vl: int = 128) -> VectorBackend:
                 f"the neon backend is fixed at VL=128, got VL={vl}; "
                 f"use the scalable backend for wider vectors"
             )
-        from ..neon.engine import NeonEngine  # deferred: repro.neon is heavier
+        # deferred: repro.neon.engine subclasses ScalableEngine, so it
+        # imports this package
+        from ..neon.engine import NeonEngine
 
         return NeonEngine()
     if name == "scalable":
@@ -56,7 +53,6 @@ def get_backend(name: str, vl: int = 128) -> VectorBackend:
 __all__ = [
     "BACKEND_NAMES",
     "VALID_VECTOR_LENGTHS",
-    "VectorBackend",
     "VectorStats",
     "VMemEvent",
     "ScalableEngine",

@@ -1,99 +1,42 @@
-"""The backend-neutral vector execution protocol.
+"""What the vector engine reports: op counters and data-memory events.
 
-Everything above the engines — the core's dispatch, the DSA's template
-lowering, the energy model — talks to this surface instead of to
-``repro.neon`` directly.  A backend is a *functional* model: it owns a
-register file of ``num_regs`` registers, each ``width_bytes`` wide, and
-executes :class:`~repro.isa.neon.VInstr` instructions against a
-:class:`~repro.memory.backing.MainMemory`, reporting the data-memory
-events it performed so the timing model and cache hierarchy can charge
-them.  Timing never lives here.
-
-Two implementations ship:
-
-* :class:`repro.neon.NeonEngine` — the paper's fixed 128-bit NEON unit
-  (16 Q registers).
-* :class:`repro.vector.scalable.ScalableEngine` — a vector-length-
-  agnostic (SVE/RVV-style) unit with a configurable VL of 128/256/512/
-  1024 bits and a prefix predicate over the lanes.
-
-Construct either through :func:`repro.vector.get_backend`.
+The engine (:class:`repro.vector.scalable.ScalableEngine`) is a
+*functional* model; timing never lives in it.  Each executed instruction
+returns the :class:`VMemEvent` records it performed, for the timing model
+and the cache hierarchy, and bumps the :class:`VectorStats` counters the
+energy model reads.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass
 
-import numpy as np
-
-# The stats counters and memory-event record are shared by every backend;
-# they were born in repro.neon and keep their names there as the stable
-# import location — re-exported here under backend-neutral spellings.
-from ..neon.engine import NeonStats, VMemEvent
-
-VectorStats = NeonStats
-
-#: vector lengths (bits) a scalable backend may be configured with
+#: vector lengths (bits) the engine may be configured with
 VALID_VECTOR_LENGTHS = (128, 256, 512, 1024)
 
 
-@runtime_checkable
-class VectorBackend(Protocol):
-    """What the core, the DSA and the energy model require of an engine.
+@dataclass
+class VectorStats:
+    """Operation counters for the energy model."""
 
-    Attributes
-    ----------
-    name:
-        Stable backend identifier ("neon", "scalable") — appears in
-        :class:`CPUConfig`, campaign cache keys and RunResult records.
-    vl_bits:
-        The configured vector length in bits.
-    width_bytes:
-        ``vl_bits // 8`` — one register's width.  All lane/chunk math in
-        the DSA derives from this; never hard-code 16.
-    num_regs:
-        Architectural register-file size (both backends: 16, the range
-        :class:`~repro.isa.operands.QReg` can encode).
-    stats:
-        :class:`VectorStats` op counters consumed by the energy model;
-        reset per run by the core.
-    """
-
-    name: str
-    vl_bits: int
-    width_bytes: int
-    num_regs: int
-    stats: VectorStats
-
-    def lanes_for(self, dtype) -> int:
-        """Element lanes one register holds at this backend's width."""
-        ...
-
-    def read_reg(self, index: int) -> np.ndarray:
-        """Copy of register ``index`` as a ``width_bytes`` uint8 image."""
-        ...
-
-    def write_reg(self, index: int, image: np.ndarray) -> None:
-        """Replace register ``index``; the image must be register-width."""
-        ...
-
-    def execute(self, instr, regs, memory) -> list[VMemEvent]:
-        """Execute one vector instruction against the scalar register file
-        and memory; returns the data-memory events performed."""
-        ...
-
-    def run(self, instrs, regs, memory) -> list[VMemEvent]:
-        """Execute a burst of vector instructions (see ``execute``)."""
-        ...
+    arith_ops: int = 0
+    mem_ops: int = 0
+    lane_ops: int = 0
+    bytes_loaded: int = 0
+    bytes_stored: int = 0
 
     def reset(self) -> None:
-        """Zero the register file and the stats counters."""
-        ...
+        self.arith_ops = self.mem_ops = self.lane_ops = 0
+        self.bytes_loaded = self.bytes_stored = 0
 
 
-__all__ = [
-    "VALID_VECTOR_LENGTHS",
-    "VectorBackend",
-    "VectorStats",
-    "VMemEvent",
-]
+@dataclass(frozen=True, slots=True)
+class VMemEvent:
+    """A data-memory access performed by a vector instruction."""
+
+    addr: int
+    nbytes: int
+    is_write: bool
+
+
+__all__ = ["VALID_VECTOR_LENGTHS", "VectorStats", "VMemEvent"]

@@ -1,26 +1,16 @@
-"""A vector-length-agnostic (SVE/RVV-style) engine.
+"""The vector engine: a vector-length-agnostic (SVE/RVV-style) unit.
 
-Unlike NEON's fixed 128-bit Q registers, the scalable engine is built for
-one configurable vector length VL ∈ {128, 256, 512, 1024} bits.  The same
-vector program runs at any width: full-width loads and stores move
-``width_bytes`` per instruction and post-increment the base register by
-``width_bytes``, so a loop template built against this backend covers
-``lanes_for(dtype)`` iterations per burst instead of NEON's 128-bit lane
-count.
-
-Predication follows the SVE ``whilelt`` idiom: a *prefix* predicate marks
-the first N lanes active.  Memory instructions honour it — a predicated
-load zeroes the inactive tail (the ``/z`` zeroing form) and touches only
-the active bytes; a predicated store writes only the active bytes.
-Register-to-register arithmetic is unpredicated (all lanes compute);
-with zeroed inactive inputs and masked stores that is architecturally
-sufficient for tail handling, which is the only thing the DSA needs a
-predicate for.
-
-At VL=128 with the predicate fully active, every operation here is
-byte-identical to :class:`repro.neon.NeonEngine` — the differential
-parity suite (`tests/vector/test_backend_parity.py`) holds the two
-engines to that.
+The engine is built for one configurable vector length VL ∈ {128, 256,
+512, 1024} bits; the paper's NEON unit is this engine at VL=128 (see
+:mod:`repro.neon.engine`).  It owns sixteen ``width_bytes`` registers and
+executes every :class:`~repro.isa.neon.VInstr` against a
+:class:`~repro.memory.backing.MainMemory`.  The same vector program runs
+at any width: full-width loads and stores move ``width_bytes`` per
+instruction and post-increment the base register by ``width_bytes``, so a
+loop template built against this engine covers ``lanes_for(dtype)``
+iterations per burst.  Timing lives in :class:`repro.cpu.timing.TimingModel`;
+the engine is purely functional, so the DSA can also run generated bursts
+against memory *snapshots* for equivalence checking.
 """
 
 from __future__ import annotations
@@ -55,7 +45,10 @@ from .backend import VALID_VECTOR_LENGTHS, VectorStats, VMemEvent
 
 
 class ScalableEngine:
-    """Functional model of a scalable vector unit at one configured VL."""
+    """Functional model of a vector unit at one configured VL.
+
+    Construct it through :func:`repro.vector.get_backend`.
+    """
 
     name = "scalable"
     num_regs = 16  # the QReg operand encoding spans q0..q15 on any backend
@@ -70,38 +63,25 @@ class ScalableEngine:
         self.width_bytes = vl_bits // 8
         self.q = [lanes.zero_register(self.width_bytes) for _ in range(self.num_regs)]
         self.stats = VectorStats()
-        #: active-prefix predicate: memory ops touch the first pred_bytes
-        #: bytes of each transfer; width_bytes means "all lanes active"
-        self.pred_bytes = self.width_bytes
         #: fault-injection hook: called as hook(instr, q) after each
-        #: executed instruction (same contract as the NEON engine)
+        #: executed instruction, free to corrupt the register file — the
+        #: golden check downstream is what must catch the damage
         self.fault_hook = None
-        #: optional repro.observe.Observer; dispatch events reuse the
-        #: NEON_DISPATCH kind so exporters need no second schema
+        #: optional repro.observe.Observer; when set, every architecturally
+        #: executed vector instruction emits a NEON_DISPATCH event
         self.observer = None
 
     # ------------------------------------------------------------------
     def lanes_for(self, dtype: DType) -> int:
+        """Element lanes one register holds at this engine's width."""
         return self.width_bytes // dtype.size
 
-    def set_predicate(self, active_lanes: int, dtype: DType) -> None:
-        """Activate the first ``active_lanes`` lanes of ``dtype`` (whilelt)."""
-        nbytes = active_lanes * dtype.size
-        if not 0 <= nbytes <= self.width_bytes:
-            raise ExecutionError(
-                f"predicate of {active_lanes} {dtype} lanes does not fit in "
-                f"{self.width_bytes} bytes"
-            )
-        self.pred_bytes = nbytes
-
-    def clear_predicate(self) -> None:
-        """Back to all-lanes-active."""
-        self.pred_bytes = self.width_bytes
-
     def read_reg(self, index: int) -> np.ndarray:
+        """Copy of register ``index`` as a ``width_bytes`` uint8 image."""
         return self.q[index].copy()
 
     def write_reg(self, index: int, image: np.ndarray) -> None:
+        """Replace register ``index``; the image must be register-width."""
         if image.nbytes != self.width_bytes:
             raise ExecutionError(
                 f"register image must be {self.width_bytes} bytes at "
@@ -109,44 +89,35 @@ class ScalableEngine:
             )
         self.q[index] = image.astype(np.uint8, copy=True)
 
-    # NEON-spelled aliases so engine-generic test helpers can poke either
-    read_q = read_reg
-    write_q = write_reg
-
     def reset(self) -> None:
+        """Zero the register file and the stats counters."""
         self.q = [lanes.zero_register(self.width_bytes) for _ in range(self.num_regs)]
         self.stats.reset()
-        self.pred_bytes = self.width_bytes
 
     # ------------------------------------------------------------------
     # handlers (dict-dispatched; each returns its memory event or None)
     # ------------------------------------------------------------------
     def _exec_vload(self, instr: VLoad, regs, memory) -> VMemEvent:
         addr = regs[instr.base.index]
-        n = self.pred_bytes
-        if n == self.width_bytes:
-            self.q[instr.qd.index] = memory.view(addr, n).copy()
-        else:
-            img = lanes.zero_register(self.width_bytes)
-            img[:n] = memory.view(addr, n)
-            self.q[instr.qd.index] = img
+        n = self.width_bytes
+        self.q[instr.qd.index] = memory.view(addr, n).copy()
         if instr.writeback:
-            regs[instr.base.index] = to_u32(addr + self.width_bytes)
+            regs[instr.base.index] = to_u32(addr + n)
         self.stats.mem_ops += 1
         self.stats.bytes_loaded += n
         return VMemEvent(addr, n, False)
 
     def _exec_vstore(self, instr: VStore, regs, memory) -> VMemEvent:
         addr = regs[instr.base.index]
-        n = self.pred_bytes
-        memory.write(addr, self.q[instr.qs.index][:n].tobytes())
+        n = self.width_bytes
+        memory.write(addr, self.q[instr.qs.index].tobytes())
         if instr.writeback:
-            regs[instr.base.index] = to_u32(addr + self.width_bytes)
+            regs[instr.base.index] = to_u32(addr + n)
         self.stats.mem_ops += 1
         self.stats.bytes_stored += n
         return VMemEvent(addr, n, True)
 
-    def _exec_vload_lane(self, instr: VLoadLane, regs, memory) -> VMemEvent:
+    def _exec_lane_load(self, instr: VLoadLane, regs, memory) -> VMemEvent:
         addr = regs[instr.base.index]
         value = memory.read_value(addr, instr.dtype)
         self.q[instr.qd.index] = lanes.lane_set(
@@ -158,7 +129,7 @@ class ScalableEngine:
         self.stats.bytes_loaded += instr.dtype.size
         return VMemEvent(addr, instr.dtype.size, False)
 
-    def _exec_vstore_lane(self, instr: VStoreLane, regs, memory) -> VMemEvent:
+    def _exec_lane_store(self, instr: VStoreLane, regs, memory) -> VMemEvent:
         addr = regs[instr.base.index]
         value = lanes.lane_get(self.q[instr.qs.index], instr.lane, instr.dtype)
         memory.write_value(addr, value, instr.dtype)
@@ -241,11 +212,12 @@ class ScalableEngine:
         )
         self.stats.lane_ops += 1
 
+    #: type-keyed dispatch — one dict probe replaces the isinstance ladder
     _DISPATCH = {
         VLoad: _exec_vload,
         VStore: _exec_vstore,
-        VLoadLane: _exec_vload_lane,
-        VStoreLane: _exec_vstore_lane,
+        VLoadLane: _exec_lane_load,
+        VStoreLane: _exec_lane_store,
         VBinOp: _exec_vbinop,
         VMla: _exec_vmla,
         VShiftImm: _exec_vshift,
@@ -262,7 +234,12 @@ class ScalableEngine:
     def execute(
         self, instr: VInstr, regs: list[int], memory: MainMemory
     ) -> list[VMemEvent]:
-        """Execute one vector instruction (see :meth:`NeonEngine.execute`)."""
+        """Execute one vector instruction.
+
+        ``regs`` is the core's scalar register file (mutated on writeback and
+        on vector->core moves).  Returns the memory events performed, for the
+        timing model and the cache hierarchy.
+        """
         handler = self._DISPATCH.get(type(instr))
         if handler is None:
             raise ExecutionError(f"unknown vector instruction {instr!r}")
@@ -283,7 +260,11 @@ class ScalableEngine:
         regs: list[int],
         memory: MainMemory,
     ) -> list[VMemEvent]:
-        """Execute a burst of vector instructions; returns all memory events."""
+        """Execute a burst of vector instructions; returns all memory events.
+
+        Used by the DSA's functional-equivalence verification: the burst runs
+        against a memory snapshot with a private register file.
+        """
         events: list[VMemEvent] = []
         for instr in instrs:
             events.extend(self.execute(instr, regs, memory))

@@ -236,13 +236,13 @@ class TestBurstEmission:
     def test_burst_instructions_execute_on_engine(self):
         """The emitted burst is real NEON code: executing it against a
         memory snapshot reproduces the scalar results."""
-        from repro.neon import NeonEngine
+        from repro.vector import get_backend
 
         window, streams, memory, core = window_and_streams(VECSUM, vecsum_setup)
         t = build_template(window, streams)
         # rebuild pre-loop memory: the source arrays are untouched, out was
         # zeroed, so a fresh memory with the same inputs works
-        engine = NeonEngine()
+        engine = get_backend("neon")
         snapshot = memory.clone()
         # zero the out region (it currently holds the scalar results)
         out_stream = t.streams[t.stores[0].stream_pc]

@@ -1,4 +1,8 @@
-"""Tests for the functional NEON engine (register file + memory bursts)."""
+"""Tests for the functional vector engine (register file + memory bursts).
+
+The fixture builds ``get_backend("neon")``, the engine at VL=128; cases
+that hold at any width loop over every VL through :func:`engines`.
+"""
 
 import numpy as np
 import pytest
@@ -22,15 +26,23 @@ from repro.isa.neon import (
     VStoreLane,
 )
 from repro.memory import Allocator, MainMemory
-from repro.neon import NeonEngine, lanes
+from repro.neon import lanes
+from repro.vector import VALID_VECTOR_LENGTHS, get_backend
 
 
 @pytest.fixture
 def setup():
     memory = MainMemory(1 << 20)
-    engine = NeonEngine()
+    engine = get_backend("neon")
     regs = [0] * 16
     return memory, engine, regs
+
+
+def engines():
+    """A fresh engine per backend name and vector length."""
+    yield get_backend("neon")
+    for vl in VALID_VECTOR_LENGTHS:
+        yield get_backend("scalable", vl)
 
 
 class TestLoadsStores:
@@ -46,7 +58,7 @@ class TestLoadsStores:
 
     def test_vst1_writes_back(self, setup):
         memory, engine, regs = setup
-        engine.write_q(2, lanes.from_lanes([9, 8, 7, 6], DType.I32))
+        engine.write_reg(2, lanes.from_lanes([9, 8, 7, 6], DType.I32))
         regs[7] = 0x200
         engine.execute(VStore(QReg(2), Reg(7), DType.I32, writeback=True), regs, memory)
         np.testing.assert_array_equal(memory.read_array(0x200, DType.I32, 4), [9, 8, 7, 6])
@@ -65,23 +77,32 @@ class TestLoadsStores:
         assert regs[2] == 0x400  # no writeback requested
 
     def test_stats_track_bytes(self, setup):
-        memory, engine, regs = setup
+        memory, _, regs = setup
         regs[5] = 0x100
-        engine.execute(VLoad(QReg(0), Reg(5), DType.I32), regs, memory)
-        engine.execute(VStore(QReg(0), Reg(5), DType.I32), regs, memory)
-        assert engine.stats.bytes_loaded == 16
-        assert engine.stats.bytes_stored == 16
-        assert engine.stats.mem_ops == 2
+        for engine in engines():
+            engine.execute(VLoad(QReg(0), Reg(5), DType.I32), regs, memory)
+            engine.execute(VStore(QReg(0), Reg(5), DType.I32), regs, memory)
+            assert engine.stats.bytes_loaded == engine.width_bytes
+            assert engine.stats.bytes_stored == engine.width_bytes
+            assert engine.stats.mem_ops == 2
 
 
 class TestArithmetic:
     def test_vadd(self, setup):
-        memory, engine, regs = setup
-        engine.write_q(0, lanes.from_lanes([1, 2, 3, 4], DType.I32))
-        engine.write_q(1, lanes.from_lanes([10, 20, 30, 40], DType.I32))
-        engine.execute(VBinOp(VBinKind.VADD, QReg(2), QReg(0), QReg(1), DType.I32), regs, memory)
-        np.testing.assert_array_equal(lanes.view(engine.q[2], DType.I32), [11, 22, 33, 44])
-        assert engine.stats.arith_ops == 1
+        """Arithmetic spans every lane at every VL."""
+        memory, _, regs = setup
+        for engine in engines():
+            n = engine.lanes_for(DType.I32)
+            idx = list(range(1, n + 1))
+            engine.write_reg(0, lanes.from_lanes(idx, DType.I32, n))
+            engine.write_reg(1, lanes.from_lanes([10 * i for i in idx], DType.I32, n))
+            engine.execute(
+                VBinOp(VBinKind.VADD, QReg(2), QReg(0), QReg(1), DType.I32), regs, memory
+            )
+            np.testing.assert_array_equal(
+                lanes.view(engine.q[2], DType.I32), [11 * i for i in idx]
+            )
+            assert engine.stats.arith_ops == 1
 
     def test_vdup_from_core_int(self, setup):
         memory, engine, regs = setup
@@ -96,22 +117,25 @@ class TestArithmetic:
         np.testing.assert_array_equal(lanes.view(engine.q[1], DType.F32), [2.5] * 4)
 
     def test_vdup_imm(self, setup):
-        memory, engine, regs = setup
-        engine.execute(VDupImm(QReg(0), -1, DType.I8), regs, memory)
-        np.testing.assert_array_equal(lanes.view(engine.q[0], DType.I8), [-1] * 16)
+        memory, _, regs = setup
+        for engine in engines():
+            engine.execute(VDupImm(QReg(0), -1, DType.I8), regs, memory)
+            np.testing.assert_array_equal(
+                lanes.view(engine.q[0], DType.I8), [-1] * engine.width_bytes
+            )
 
     def test_conditional_select_pipeline(self, setup):
         """vcgt + vbsl implements if (a>b) out=a else out=b."""
         memory, engine, regs = setup
-        engine.write_q(0, lanes.from_lanes([1, 9, 3, 9], DType.I32))
-        engine.write_q(1, lanes.from_lanes([5, 5, 5, 5], DType.I32))
+        engine.write_reg(0, lanes.from_lanes([1, 9, 3, 9], DType.I32))
+        engine.write_reg(1, lanes.from_lanes([5, 5, 5, 5], DType.I32))
         engine.execute(VCmp(VCmpKind.VCGT, QReg(2), QReg(0), QReg(1), DType.I32), regs, memory)
         engine.execute(VBsl(QReg(2), QReg(0), QReg(1)), regs, memory)
         np.testing.assert_array_equal(lanes.view(engine.q[2], DType.I32), [5, 9, 5, 9])
 
     def test_vmovq_copies(self, setup):
         memory, engine, regs = setup
-        engine.write_q(4, lanes.broadcast(3, DType.I32))
+        engine.write_reg(4, lanes.broadcast(3, DType.I32))
         engine.execute(VMovQ(QReg(5), QReg(4)), regs, memory)
         np.testing.assert_array_equal(engine.q[5], engine.q[4])
 
@@ -146,13 +170,14 @@ class TestBurstsAndReset:
         np.testing.assert_array_equal(memory.read_array(pout, DType.I32, 8), a + 100)
         assert sum(1 for e in events if e.is_write) == 2
 
-    def test_reset_clears_everything(self, setup):
-        memory, engine, regs = setup
-        engine.write_q(0, lanes.broadcast(1, DType.I8))
-        engine.stats.arith_ops = 5
-        engine.reset()
-        assert engine.q[0].sum() == 0
-        assert engine.stats.arith_ops == 0
+    def test_reset_clears_everything(self):
+        for engine in engines():
+            engine.write_reg(0, np.ones(engine.width_bytes, dtype=np.uint8))
+            engine.stats.arith_ops = 5
+            engine.reset()
+            assert not engine.read_reg(0).any()
+            assert engine.read_reg(0).nbytes == engine.width_bytes
+            assert engine.stats.arith_ops == 0
 
     def test_snapshot_equivalence_pattern(self, setup):
         """The DSA verification pattern: burst on a clone == scalar result."""

@@ -7,22 +7,17 @@ from repro.cpu import Core
 from repro.errors import ConfigError, ExecutionError
 from repro.isa import assemble
 from repro.isa.dtypes import DType
-from repro.isa.neon import QReg, Reg, VBinKind, VBinOp, VDupImm, VLoad, VStore
+from repro.isa.neon import QReg, Reg, VLoad, VStore
 from repro.memory import MainMemory
-from repro.neon import NeonEngine
-from repro.vector import (
-    BACKEND_NAMES,
-    VALID_VECTOR_LENGTHS,
-    ScalableEngine,
-    VectorBackend,
-    get_backend,
-)
+from repro.neon.engine import NeonEngine
+from repro.vector import VALID_VECTOR_LENGTHS, ScalableEngine, get_backend
 
 
 class TestGetBackend:
     def test_neon(self):
+        """``neon`` is the one engine pinned at VL=128."""
         backend = get_backend("neon")
-        assert isinstance(backend, NeonEngine)
+        assert isinstance(backend, NeonEngine) and isinstance(backend, ScalableEngine)
         assert (backend.name, backend.vl_bits, backend.width_bytes) == ("neon", 128, 16)
 
     @pytest.mark.parametrize("vl", VALID_VECTOR_LENGTHS)
@@ -30,10 +25,6 @@ class TestGetBackend:
         backend = get_backend("scalable", vl)
         assert isinstance(backend, ScalableEngine)
         assert (backend.vl_bits, backend.width_bytes) == (vl, vl // 8)
-
-    def test_both_satisfy_the_protocol(self):
-        for name in BACKEND_NAMES:
-            assert isinstance(get_backend(name), VectorBackend)
 
     def test_neon_rejects_wide_vl(self):
         with pytest.raises(ConfigError, match="fixed at VL=128"):
@@ -91,55 +82,6 @@ class TestScalableExecution:
             VLoad(QReg(0), Reg(0), DType.U8, writeback=True), self.regs, self.memory
         )
         assert self.regs[0] == 0x100 + 32
-
-    def test_predicated_load_zeroes_inactive_tail(self):
-        self.memory.write(0x100, bytes([0xAB]) * 32)
-        self.regs[0] = 0x100
-        self.engine.set_predicate(3, DType.I32)  # 12 of 32 bytes active
-        events = self.engine.execute(
-            VLoad(QReg(1), Reg(0), DType.I32), self.regs, self.memory
-        )
-        assert events[0].nbytes == 12
-        image = self.engine.read_reg(1)
-        assert bytes(image[:12]) == bytes([0xAB]) * 12
-        assert bytes(image[12:]) == bytes(20)
-
-    def test_predicated_store_writes_only_active_bytes(self):
-        sentinel = bytes([0xEE]) * 32
-        self.memory.write(0x300, sentinel)
-        self.engine.write_reg(4, np.arange(32, dtype=np.uint8))
-        self.regs[0] = 0x300
-        self.engine.set_predicate(5, DType.U16)  # 10 bytes active
-        self.engine.execute(VStore(QReg(4), Reg(0), DType.U16), self.regs, self.memory)
-        assert bytes(self.memory.view(0x300, 10)) == bytes(range(10))
-        assert bytes(self.memory.view(0x30A, 22)) == sentinel[10:]
-
-    def test_predicate_clears_and_validates(self):
-        self.engine.set_predicate(0, DType.I32)
-        assert self.engine.pred_bytes == 0
-        self.engine.clear_predicate()
-        assert self.engine.pred_bytes == 32
-        with pytest.raises(ExecutionError, match="does not fit"):
-            self.engine.set_predicate(9, DType.I32)  # 36 > 32 bytes
-
-    def test_arithmetic_spans_every_lane(self):
-        self.engine.execute(VDupImm(QReg(0), 3, DType.I32), self.regs, self.memory)
-        self.engine.execute(VDupImm(QReg(1), 4, DType.I32), self.regs, self.memory)
-        self.engine.execute(
-            VBinOp(VBinKind.VADD, QReg(2), QReg(0), QReg(1), DType.I32),
-            self.regs, self.memory,
-        )
-        result = self.engine.read_reg(2).view(np.int32)
-        assert result.tolist() == [7] * 8
-
-    def test_reset_restores_pristine_state(self):
-        self.engine.write_reg(0, np.ones(32, dtype=np.uint8))
-        self.engine.set_predicate(1, DType.I32)
-        self.engine.stats.arith_ops = 9
-        self.engine.reset()
-        assert not self.engine.read_reg(0).any()
-        assert self.engine.pred_bytes == 32
-        assert self.engine.stats.arith_ops == 0
 
 
 class TestPerRunStatsReset:
