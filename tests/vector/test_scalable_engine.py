@@ -7,7 +7,7 @@ from repro.cpu import Core
 from repro.errors import ConfigError, ExecutionError
 from repro.isa import assemble
 from repro.isa.dtypes import DType
-from repro.isa.neon import QReg, Reg, VLoad, VStore
+from repro.isa.neon import QReg, Reg, VBinKind, VBinOp, VDupImm, VLoad, VStore
 from repro.memory import MainMemory
 from repro.neon.engine import NeonEngine
 from repro.vector import VALID_VECTOR_LENGTHS, ScalableEngine, get_backend
@@ -82,6 +82,23 @@ class TestScalableExecution:
             VLoad(QReg(0), Reg(0), DType.U8, writeback=True), self.regs, self.memory
         )
         assert self.regs[0] == 0x100 + 32
+
+    def test_arithmetic_spans_every_lane(self):
+        self.engine.execute(VDupImm(QReg(0), 3, DType.I32), self.regs, self.memory)
+        self.engine.execute(VDupImm(QReg(1), 4, DType.I32), self.regs, self.memory)
+        self.engine.execute(
+            VBinOp(VBinKind.VADD, QReg(2), QReg(0), QReg(1), DType.I32),
+            self.regs, self.memory,
+        )
+        result = self.engine.read_reg(2).view(np.int32)
+        assert result.tolist() == [7] * 8
+
+    def test_reset_restores_pristine_state(self):
+        self.engine.write_reg(0, np.ones(32, dtype=np.uint8))
+        self.engine.stats.arith_ops = 9
+        self.engine.reset()
+        assert not self.engine.read_reg(0).any()
+        assert self.engine.stats.arith_ops == 0
 
 
 class TestPerRunStatsReset:
